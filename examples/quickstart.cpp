@@ -75,7 +75,7 @@ int main() {
           // Runs after commit, holding checking's implicit lock. Simulate
           // a slow irrevocable operation (e.g. writing an audit log).
           // Captures are named, never a blanket [&]: the epilogue outlives
-          // the registering scope (adtmlint's defer-capture check).
+          // the registering scope (txsafety's ref-capture-into-defer check).
           std::this_thread::sleep_for(std::chrono::milliseconds(50));
           std::printf("audit: moved 200 checking->savings (balance %ld)\n",
                       checking.balance_raw());

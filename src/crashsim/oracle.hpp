@@ -25,7 +25,7 @@
 //
 // Every line is emitted with one write(2) to an O_APPEND descriptor:
 // atomic without a mutex, and therefore legal inside transaction bodies
-// (no lock acquisition — the adtmlint tx-region check stays clean).
+// (no lock acquisition — the txsafety tx-region check stays clean).
 #pragma once
 
 #include <cstdint>

@@ -26,7 +26,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 
@@ -65,19 +64,6 @@ class TxCondVar {
     (void)gen_.get(tx);  // join the wake-up set
     prepare_wait(tx);
     stm::retry(tx, deadline);
-  }
-
-  // Deprecated spellings from the pre-Deadline API; thin forwarders.
-  // (Historically deadline 0 meant "already expired" here, unlike the
-  // TxLock timed forms; Deadline::at preserves that clamp.)
-  [[noreturn]] [[deprecated("use wait(tx, Deadline::at(deadline_ns))")]]
-  void wait_until(stm::Tx& tx, std::uint64_t deadline_ns) const {
-    wait(tx, Deadline::at(deadline_ns));
-  }
-
-  [[noreturn]] [[deprecated("use wait(tx, Deadline(timeout))")]]
-  void wait_for(stm::Tx& tx, std::chrono::nanoseconds timeout) const {
-    wait(tx, Deadline(timeout));
   }
 
   // Wake all current waiters, as part of the enclosing transaction (the

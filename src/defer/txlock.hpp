@@ -33,7 +33,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 
@@ -79,22 +78,6 @@ class TxLock {
   // while the lock is still held by another live thread.
   [[nodiscard]] bool acquire(Deadline deadline);
 
-  // Deprecated spellings from the pre-Deadline API; thin forwarders. The
-  // in-transaction form kept "deadline 0 = wait forever".
-  [[deprecated("use acquire(tx, Deadline::at(deadline_ns))")]]
-  void acquire_until(stm::Tx& tx, std::uint64_t deadline_ns) {
-    acquire(tx, deadline_ns == 0 ? Deadline::never()
-                                 : Deadline::at(deadline_ns));
-  }
-  [[nodiscard]] [[deprecated("use acquire(Deadline::at(deadline_ns))")]]
-  bool acquire_until(std::uint64_t deadline_ns) {
-    return acquire(Deadline::at(deadline_ns));
-  }
-  [[nodiscard]] [[deprecated("use acquire(Deadline(timeout))")]]
-  bool acquire_for(std::chrono::nanoseconds timeout) {
-    return acquire(Deadline(timeout));
-  }
-
   // Non-blocking acquire: returns false (without retrying) if the lock is
   // held by another thread. Composes with the enclosing transaction like
   // acquire(tx). Still raises on a poisoned lock.
@@ -120,21 +103,6 @@ class TxLock {
   // Timed subscribe outside a transaction: true once the lock was observed
   // free (or owned by the caller), false on expiry.
   [[nodiscard]] bool subscribe(Deadline deadline) const;
-
-  // Deprecated spellings from the pre-Deadline API; thin forwarders.
-  [[deprecated("use subscribe(tx, Deadline::at(deadline_ns))")]]
-  void subscribe_until(stm::Tx& tx, std::uint64_t deadline_ns) const {
-    subscribe(tx, deadline_ns == 0 ? Deadline::never()
-                                   : Deadline::at(deadline_ns));
-  }
-  [[nodiscard]] [[deprecated("use subscribe(Deadline::at(deadline_ns))")]]
-  bool subscribe_until(std::uint64_t deadline_ns) const {
-    return subscribe(Deadline::at(deadline_ns));
-  }
-  [[nodiscard]] [[deprecated("use subscribe(Deadline(timeout))")]]
-  bool subscribe_for(std::chrono::nanoseconds timeout) const {
-    return subscribe(Deadline(timeout));
-  }
 
   // --- failure handling -------------------------------------------------
 

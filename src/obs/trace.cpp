@@ -62,16 +62,11 @@ const char* abort_cause_name(AbortCause c) noexcept {
 namespace {
 
 // Backend display names, published by the stm backend registry at
-// registration time (register_algo_label). The first five slots are
-// prefilled with the built-in algorithm names so the trace layer labels
-// correctly even in binaries that never touch the registry; a
-// static_assert in api.cpp pins the built-in ordering.
+// registration time (register_algo_label).
 constexpr std::size_t kCauseCount =
     static_cast<std::size_t>(AbortCause::kCount);
 
-std::atomic<const char*> g_algo_names[kMaxAlgos] = {
-    "TL2", "Eager", "CGL", "HTMSim", "NOrec",
-};
+std::atomic<const char*> g_algo_names[kMaxAlgos] = {};
 
 const char* algo_label(std::uint8_t a) noexcept {
   if (a >= kMaxAlgos) return "-";

@@ -86,7 +86,7 @@ struct TraceEvent {
   std::uint32_t tid;    // dense thread id (common/thread_id)
   EventType type;
   AbortCause cause;
-  std::uint8_t algo;    // stm::Algo value, kNoAlgo when not applicable
+  std::uint8_t algo;    // backend obs_index, kNoAlgo when not applicable
   std::uint8_t reserved;
 };
 static_assert(sizeof(TraceEvent) == 32, "TraceEvent must stay 32 bytes");

@@ -1,6 +1,6 @@
 // Public software-transactional-memory API.
 //
-//   stm::init({.algo = stm::Algo::TL2});
+//   stm::init({.backend = "tl2"});
 //   stm::tvar<int> x{0};
 //   stm::atomic([&](stm::Tx& tx) { x.set(tx, x.get(tx) + 1); });
 //
@@ -19,7 +19,6 @@
 //    first write, because direct-mode writes cannot be rolled back.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <type_traits>
@@ -129,17 +128,6 @@ auto atomic_nested(F&& body) -> std::invoke_result_t<F&, Tx&> {
 // passing a duration here re-arms the window on every attempt (see
 // common/deadline.hpp).
 [[noreturn]] void retry(Tx& tx, Deadline deadline = {});
-
-// Deprecated spellings from the pre-Deadline API; thin forwarders.
-[[noreturn]] [[deprecated("use retry(tx, Deadline::at(deadline_ns))")]]
-inline void retry_until(Tx& tx, std::uint64_t deadline_ns) {
-  retry(tx, Deadline::at(deadline_ns == 0 ? 1 : deadline_ns));
-}
-
-[[noreturn]] [[deprecated("use retry(tx, timeout)")]]
-inline void retry_for(Tx& tx, std::chrono::nanoseconds timeout) {
-  retry(tx, Deadline(timeout));
-}
 
 // Abort the transaction, discarding all effects; atomic() returns normally
 // without re-executing. Illegal in CGL/serial modes (cannot roll back).

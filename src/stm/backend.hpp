@@ -11,7 +11,7 @@
 // Selection:
 //   stm::Config::backend names a registry id ("tl2", "2pl", ..., or
 //   "auto" for adaptive switching); ADTM_ALGO does the same from the
-//   environment. The legacy stm::Algo enum still works but is deprecated.
+//   environment.
 //
 // Runtime switching:
 //   switch_backend() swaps the active backend at a quiescent point: it
@@ -30,11 +30,31 @@
 #include <cstdint>
 #include <string_view>
 
-#include "stm/config.hpp"
-
 namespace adtm::stm {
 
 class Tx;
+struct Config;
+
+// Core algorithm of a built-in backend: the key the Tx inline paths
+// (tx.cpp) dispatch on. Selection is by registry id, never by this enum.
+//
+// TL2    — lazy versioning: writes are buffered in a redo log and published
+//          at commit under per-orec locks (Dice/Shalev/Shavit TL2 with
+//          TinySTM-style timestamp extension on reads).
+// Eager  — encounter-time locking with an undo log (TinySTM write-through).
+// CGL    — a single global lock; no instrumentation, no aborts. This is
+//          both a correctness oracle and the paper's coarse-grained-lock
+//          baseline.
+// HTMSim — simulated best-effort hardware TM: eager conflict detection with
+//          immediate abort, a capacity budget on the transaction footprint,
+//          a small retry budget, and a global-lock fallback that all
+//          hardware transactions subscribe to (Intel TSX + lock elision
+//          structure). See DESIGN.md for the substitution rationale.
+// NOrec  — no ownership records (Dalessandro/Spear/Scott PPoPP 2010): one
+//          global sequence lock, value-based read validation, redo log.
+//          Minimal metadata, strong privatization behaviour, commits
+//          serialized on the sequence lock.
+enum class Algo : std::uint8_t { TL2, Eager, CGL, HTMSim, NOrec };
 
 namespace detail {
 using Word = std::atomic<std::uint64_t>;
@@ -126,16 +146,13 @@ class BackendRegistry {
   std::size_t count_ = 0;
 };
 
-// The process-wide registry. First use registers the built-in algorithms
-// (in stm::Algo order, so obs_index matches the deprecated enum) and then
-// every extension backend named in the src/stm/backends manifest.
+// The process-wide registry. First use registers the five built-in
+// algorithms and then every extension backend named in the
+// src/stm/backends manifest.
 BackendRegistry& backend_registry() noexcept;
 
 // Convenience lookup; null if no such backend.
 const Backend* find_backend(std::string_view id_or_name) noexcept;
-
-// Descriptor of a built-in algorithm (deprecated-enum interop).
-const Backend* backend_for(Algo algo) noexcept;
 
 // The currently active backend (what new transactions will run).
 const Backend* current_backend() noexcept;
@@ -151,7 +168,7 @@ void switch_backend(std::string_view id_or_name);
 namespace detail {
 
 // Resolve `cfg`'s backend selection (Config::backend, then ADTM_ALGO,
-// then the deprecated enum; "auto" arms the adaptive controller) and
+// then TL2; "auto" arms the adaptive controller) and
 // publish it as the active backend. Throws std::invalid_argument for an
 // unknown name. Called by init().
 const Backend* install_backend(const Config& cfg);

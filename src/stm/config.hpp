@@ -9,51 +9,13 @@
 
 namespace adtm::stm {
 
-// Which TM algorithm executes transactions.
-//
-// DEPRECATED for selection: algorithms are chosen by backend registry id
-// (Config::backend / ADTM_ALGO — see stm/backend.hpp); the enum survives
-// as the internal core-dispatch discriminator (Backend::core) and a thin
-// compatibility forwarder. New code must not dispatch on it directly
-// (enforced by the adtmlint `algo-enum` check).
-//
-// TL2    — lazy versioning: writes are buffered in a redo log and published
-//          at commit under per-orec locks (Dice/Shalev/Shavit TL2 with
-//          TinySTM-style timestamp extension on reads).
-// Eager  — encounter-time locking with an undo log (TinySTM write-through).
-// CGL    — a single global lock; no instrumentation, no aborts. This is
-//          both a correctness oracle and the paper's coarse-grained-lock
-//          baseline.
-// HTMSim — simulated best-effort hardware TM: eager conflict detection with
-//          immediate abort, a capacity budget on the transaction footprint,
-//          a small retry budget, and a global-lock fallback that all
-//          hardware transactions subscribe to (Intel TSX + lock elision
-//          structure). See DESIGN.md for the substitution rationale.
-// NOrec  — no ownership records (Dalessandro/Spear/Scott PPoPP 2010): one
-//          global sequence lock, value-based read validation, redo log.
-//          Minimal metadata, strong privatization behaviour, commits
-//          serialized on the sequence lock.
-enum class Algo : std::uint8_t { TL2, Eager, CGL, HTMSim, NOrec };
-
-[[deprecated("use Backend::name via stm::find_backend / backend_registry")]]
-const char* algo_name(Algo a) noexcept;
-
 struct Config {
   // STM backend by registry id ("tl2", "eager", "cgl", "htmsim", "norec",
-  // "2pl", ...) or "auto" for adaptive runtime switching. Resolution
-  // order: this field, then an explicitly non-default `algo` enum below,
-  // then ADTM_ALGO (adtm::RuntimeConfig::algo) — the env knob fills in
-  // when the program did not choose, it does not override an explicit
-  // selection. Unknown names make init() throw.
+  // "2pl", ...) or "auto" for adaptive runtime switching. When empty,
+  // ADTM_ALGO (adtm::RuntimeConfig::algo) fills in, then the TL2 default
+  // — the env knob does not override an explicit selection. Unknown
+  // names make init() throw.
   std::string backend;
-
-  // Deprecated enum spelling of the above; consulted only when `backend`
-  // is empty. (Comment-deprecated rather than
-  // [[deprecated]]: the attribute on a member with a default initializer
-  // fires inside Config's own implicit constructors under
-  // -Werror=deprecated-declarations. The adtmlint `algo-enum` check
-  // rejects new uses instead.)
-  Algo algo = Algo::TL2;
 
   // Attempts before a transaction escalates to serial-irrevocable mode
   // (GCC libitm defaults: 100 for software, 2 for hardware).

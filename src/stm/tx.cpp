@@ -70,21 +70,24 @@ void Tx::begin(const Backend* backend, Mode mode, std::uint32_t attempt) {
     if (priority_) liveness::contention().set_priority_attempt(true);
     start_ = (algo_ == Algo::NOrec) ? norec_snapshot() : clock_now();
     detail::registry_enter(start_);
-    // registry_enter may have waited for a serial writer — which may have
-    // been switch_backend() swapping the active backend at the gate.
-    // Re-resolve so this attempt runs the post-switch algorithm, then
-    // refresh the snapshot so we do not start in the past relative to the
-    // writer's effects.
-    const Backend* cur =
-        detail::runtime().active_backend.load(std::memory_order_acquire);
-    if (cur != nullptr && cur != backend_) {
-      backend_ = cur;
-      algo_ = cur->core;
-    }
-    start_ = (algo_ == Algo::NOrec) ? norec_snapshot() : clock_now();
-    detail::my_slot().active_since.store(start_, std::memory_order_seq_cst);
   } else {
     priority_ = false;
+  }
+  // registry_enter (or, in serial mode, the caller's acquire of the serial
+  // gate) may have waited for a serial writer — which may have been
+  // switch_backend() swapping the active backend at the gate. Re-resolve
+  // so this attempt runs, and is recorded under, the post-switch algorithm.
+  const Backend* cur =
+      detail::runtime().active_backend.load(std::memory_order_acquire);
+  if (cur != nullptr && cur != backend_) {
+    backend_ = cur;
+    algo_ = cur->core;
+  }
+  if (mode_ == Mode::Speculative) {
+    // Refresh the snapshot so we do not start in the past relative to the
+    // writer's effects.
+    start_ = (algo_ == Algo::NOrec) ? norec_snapshot() : clock_now();
+    detail::my_slot().active_since.store(start_, std::memory_order_seq_cst);
   }
   // Snapshot for retry's serial-commit watch: taken before any read so a
   // serial commit overlapping this attempt always wakes the waiter.

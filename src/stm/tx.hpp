@@ -9,12 +9,11 @@
 #include <vector>
 
 #include "obs/trace.hpp"
-#include "stm/config.hpp"
+#include "stm/backend.hpp"
 #include "stm/logs.hpp"
 
 namespace adtm::stm {
 
-struct Backend;
 struct BackendSpi;
 
 namespace detail {

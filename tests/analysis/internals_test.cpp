@@ -98,15 +98,16 @@ TEST(Lexer, SuppressionCommentsAreHarvested) {
   const SourceFile f = txsafety::lex(
       "t.cpp",
       "int a = 1;  // txsafety:allow(raw-tvar-access, defer-ordering)\n"
-      "int b = 2;  // adtmlint:allow defer-capture\n"
-      "// txsafety:allow(deadline)\n"
+      "int b = 2;  // txsafety:allow(ref-capture-into-defer)\n"
+      "// txsafety:allow(tx-region)\n"
       "int c = 3;\n");
   EXPECT_TRUE(f.allowed(1, "raw-tvar-access"));
   EXPECT_TRUE(f.allowed(1, "defer-ordering"));
-  EXPECT_FALSE(f.allowed(1, "deadline"));
-  EXPECT_TRUE(f.allowed(2, "defer-capture"));
+  EXPECT_FALSE(f.allowed(1, "tx-region"));
+  EXPECT_TRUE(f.allowed(2, "ref-capture-into-defer"));
+  EXPECT_FALSE(f.allowed(2, "defer-ordering"));  // suppressions are per line
   // A comment-only suppression line covers the next code line.
-  EXPECT_TRUE(f.allowed(4, "deadline"));
+  EXPECT_TRUE(f.allowed(4, "tx-region"));
 }
 
 TEST(Lexer, BracketMatchingSurvivesNesting) {

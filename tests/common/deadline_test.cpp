@@ -1,5 +1,5 @@
-// adtm::Deadline: the unified bounded-wait vocabulary type, and its
-// equivalence with the deprecated `_until`/`_for` overloads it replaced.
+// adtm::Deadline: the unified bounded-wait vocabulary type, and the timed
+// TxLock / TxCondVar / retry waits built on it.
 #include "common/deadline.hpp"
 
 #include <gtest/gtest.h>
@@ -13,10 +13,6 @@
 #include "defer/txlock.hpp"
 #include "stm/api.hpp"
 #include "stm/tvar.hpp"
-
-// This file deliberately exercises the deprecated forwarders to prove
-// they are exact aliases of the Deadline forms.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace adtm {
 namespace {
@@ -95,23 +91,7 @@ TEST_F(DeadlineApiTest, RetryTimeoutSurvivesReExecution) {
   EXPECT_LT(elapsed, 5'000'000'000ull) << "wake-ups extended the budget";
 }
 
-TEST_F(DeadlineApiTest, DeprecatedRetryFormsMatchDeadlineForms) {
-  stm::tvar<bool> flag{false};
-  // retry_until(ts) == retry(Deadline::at(ts)).
-  EXPECT_THROW(stm::atomic([&](stm::Tx& tx) {
-                 if (!flag.get(tx)) {
-                   stm::retry_until(tx, now_ns() + 10'000'000ull);
-                 }
-               }),
-               stm::RetryTimeout);
-  // retry_for(d) == retry(Deadline(d)).
-  EXPECT_THROW(stm::atomic([&](stm::Tx& tx) {
-                 if (!flag.get(tx)) stm::retry_for(tx, 10ms);
-               }),
-               stm::RetryTimeout);
-}
-
-TEST_F(DeadlineApiTest, DeprecatedTxLockFormsMatchDeadlineForms) {
+TEST_F(DeadlineApiTest, TimedTxLockFormsExpireWhileHeld) {
   TxLock lock;
   std::atomic<bool> held{false};
   std::atomic<bool> go_release{false};
@@ -123,54 +103,36 @@ TEST_F(DeadlineApiTest, DeprecatedTxLockFormsMatchDeadlineForms) {
   });
   while (!held.load()) std::this_thread::yield();
 
-  // Timed non-transactional forms: both spellings time out identically.
+  // Timed non-transactional forms return false on expiry.
   EXPECT_FALSE(lock.acquire(Deadline(20ms)));
-  EXPECT_FALSE(lock.acquire_for(20ms));
-  EXPECT_FALSE(lock.acquire_until(now_ns() + 20'000'000ull));
   EXPECT_FALSE(lock.subscribe(Deadline(20ms)));
-  EXPECT_FALSE(lock.subscribe_for(20ms));
-  EXPECT_FALSE(lock.subscribe_until(now_ns() + 20'000'000ull));
 
-  // In-transaction timed forms raise RetryTimeout out of atomic().
+  // The in-transaction timed form raises RetryTimeout out of atomic().
   EXPECT_THROW(stm::atomic([&](stm::Tx& tx) {
                  lock.acquire(tx, Deadline::at(now_ns() + 20'000'000ull));
                }),
                stm::RetryTimeout);
-  EXPECT_THROW(stm::atomic([&](stm::Tx& tx) {
-                 lock.acquire_until(tx, now_ns() + 20'000'000ull);
-               }),
-               stm::RetryTimeout);
 
-  // Historical quirk, preserved: deadline 0 on the in-transaction timed
-  // acquire meant "unbounded", so the forwarder must not expire...
-  std::atomic<bool> timed_zero_running{false};
+  // Deadline::never() waits through the holder's release.
+  std::atomic<bool> unbounded_running{false};
   std::thread unbounded_waiter([&] {
-    timed_zero_running.store(true);
-    stm::atomic([&](stm::Tx& tx) { lock.acquire_until(tx, 0); });
+    unbounded_running.store(true);
+    stm::atomic([&](stm::Tx& tx) { lock.acquire(tx, Deadline::never()); });
     lock.release();
   });
-  while (!timed_zero_running.load()) std::this_thread::yield();
-  std::this_thread::sleep_for(30ms);  // would have expired a 0-deadline
+  while (!unbounded_running.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(30ms);  // longer than any bounded wait above
   go_release.store(true);
   holder.join();
   unbounded_waiter.join();  // acquired after release, then released
   EXPECT_FALSE(lock.held_by_me());
 }
 
-TEST_F(DeadlineApiTest, DeprecatedCondVarZeroDeadlineStaysExpired) {
-  // ...whereas TxCondVar::wait_until(tx, 0) historically meant "already
-  // expired" — the forwarder must preserve that asymmetry, not silently
-  // turn it into an unbounded wait.
+TEST_F(DeadlineApiTest, CondVarZeroDeadlineExpiresAtOnce) {
+  // Deadline::at(0) clamps to "already passed": the wait times out
+  // instead of turning into an unbounded one.
   TxCondVar cv;
   stm::tvar<bool> flag{false};
-  EXPECT_THROW(stm::atomic([&](stm::Tx& tx) {
-                 if (!flag.get(tx)) cv.wait_until(tx, 0);
-               }),
-               stm::RetryTimeout);
-  EXPECT_THROW(stm::atomic([&](stm::Tx& tx) {
-                 if (!flag.get(tx)) cv.wait_for(tx, 10ms);
-               }),
-               stm::RetryTimeout);
   EXPECT_THROW(stm::atomic([&](stm::Tx& tx) {
                  if (!flag.get(tx)) cv.wait(tx, Deadline::at(0));
                }),

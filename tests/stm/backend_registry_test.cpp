@@ -37,14 +37,6 @@ TEST(BackendRegistry, FindMatchesIdAndDisplayName) {
   EXPECT_EQ(stm::find_backend("auto"), nullptr);
 }
 
-TEST(BackendRegistry, EnumInteropMatchesRegistry) {
-  // The deprecated-enum bridge is this test's subject.
-  EXPECT_EQ(stm::backend_for(stm::Algo::TL2),  // adtmlint:allow algo-enum
-            stm::find_backend("tl2"));
-  EXPECT_EQ(stm::backend_for(stm::Algo::NOrec),  // adtmlint:allow algo-enum
-            stm::find_backend("norec"));
-}
-
 TEST(BackendRegistry, CapabilityFlags) {
   const stm::Backend* tl2 = stm::find_backend("tl2");
   EXPECT_TRUE(tl2->has(stm::kBackendRollback));

@@ -92,51 +92,38 @@ Analyzer::Analyzer(Corpus corpus) : corpus_(std::move(corpus)) {}
 
 const std::vector<CheckInfo>& Analyzer::checks() {
   static const std::vector<CheckInfo> kChecks = {
-      {"irrevocable-call-in-tx", nullptr,
+      {"irrevocable-call-in-tx",
        "no irrevocable operation reachable from transactional code unless "
        "deferred (atomic_defer) or waived (become_irrevocable)"},
-      {"defer-ordering", nullptr,
+      {"defer-ordering",
        "ordered deferral registrations must precede the transaction's "
        "first tvar write in the same region"},
-      {"epilogue-purity", nullptr,
+      {"epilogue-purity",
        "deferred lambdas must not re-enter stm::atomic, register new "
        "deferrals, or use the transactional handle"},
-      {"ref-capture-into-defer", "defer-capture",
+      {"ref-capture-into-defer",
        "no [&] and no by-reference capture of region-local variables in "
        "lambdas passed to atomic_defer"},
-      {"raw-tvar-access", nullptr,
+      {"raw-tvar-access",
        "load_direct/store_direct only in init/teardown, *_direct helpers, "
        "or under tmsan::ScopedRawIgnore"},
-      {"deadline", nullptr,
-       "blocking defer APIs must use the *_until/*_for deadline variants "
-       "deliberately (legacy adtmlint check)"},
-      {"tx-region", nullptr,
-       "no sleeps or OS mutexes lexically inside stm::atomic bodies "
-       "(legacy adtmlint check)"},
-      {"env-config", nullptr,
-       "ADTM_* env vars only read through common/env.cpp (legacy)"},
-      {"algo-enum", nullptr,
-       "stm::Algo only referenced inside src/stm/ (legacy)"},
+      {"tx-region",
+       "no sleeps or OS mutexes lexically inside stm::atomic bodies"},
+      {"env-config",
+       "ADTM_* env vars only read through common/env.cpp"},
   };
   return kChecks;
 }
 
-std::string Analyzer::canonical(const std::string& name) {
-  for (const auto& c : checks()) {
-    if (name == c.name) return c.name;
-    if (c.alias && name == c.alias) return c.name;
-  }
-  return "";
+bool Analyzer::is_check(const std::string& name) {
+  for (const auto& c : checks())
+    if (name == c.name) return true;
+  return false;
 }
 
 bool Analyzer::in_scope(const std::string& check,
                         const std::string& path) const {
   if (path.find("tests/analysis/fixtures/") != std::string::npos) return false;
-  if (check == "deadline")
-    return under_any(path, {"src/", "tests/", "bench/", "examples/"});
-  if (check == "algo-enum")
-    return under_any(path, {"src/", "tests/", "bench/", "examples/",
-                            "tools/"});
   if (check == "env-config" || check == "raw-tvar-access")
     return under_any(path, {"src/", "examples/"});
   return under_any(path, {"src/", "bench/", "examples/"});
@@ -945,40 +932,8 @@ void Analyzer::check_raw_tvar(std::vector<Finding>& out, bool scoped) {
 }
 
 // ---------------------------------------------------------------------------
-// legacy checks (ported from the awk adtmlint)
+// lexical checks
 // ---------------------------------------------------------------------------
-
-void Analyzer::check_deadline(std::vector<Finding>& out, bool scoped) {
-  for (std::size_t fi = 0; fi < corpus_.files.size(); ++fi) {
-    const SourceFile& f = corpus_.files[fi];
-    if (scoped && !in_scope("deadline", f.path)) continue;
-    if (name_in(f.path, {"src/defer/txlock.hpp", "src/defer/txcondvar.hpp",
-                         "src/stm/api.hpp", "tests/common/deadline_test.cpp"}))
-      continue;
-    const auto& T = f.toks;
-    for (std::size_t i = 0; i + 1 < T.size(); ++i) {
-      if (!is_id(T[i]) || !is_p(T[i + 1], "(")) continue;
-      if (!name_in(T[i].text,
-                   {"acquire_until", "acquire_for", "subscribe_until",
-                    "subscribe_for", "retry_until", "retry_for", "wait_until",
-                    "wait_for"}))
-        continue;
-      // std::condition_variable waits — wait_for(lk, ...) — are the OS
-      // kind, not ours; the legacy check skipped them the same way.
-      if (i + 2 < T.size() && id_is(T[i + 2], "lk")) continue;
-      Finding fd;
-      fd.check = "deadline";
-      fd.path = f.path;
-      fd.line = T[i].line;
-      fd.message =
-          "deadline-variant blocking call '" + T[i].text +
-          "' outside the sanctioned wrappers; make sure the deadline "
-          "semantics are deliberate (see src/defer/txlock.hpp)";
-      fd.ctx = T[i].text;
-      out.push_back(std::move(fd));
-    }
-  }
-}
 
 void Analyzer::check_tx_region(std::vector<Finding>& out, bool scoped) {
   for (const TxRegion& r : tx_regions("tx-region", scoped)) {
@@ -1041,27 +996,6 @@ void Analyzer::check_env_config(std::vector<Finding>& out, bool scoped) {
   }
 }
 
-void Analyzer::check_algo_enum(std::vector<Finding>& out, bool scoped) {
-  for (std::size_t fi = 0; fi < corpus_.files.size(); ++fi) {
-    const SourceFile& f = corpus_.files[fi];
-    if (scoped && !in_scope("algo-enum", f.path)) continue;
-    if (has_prefix(f.path, "src/stm/")) continue;
-    const auto& T = f.toks;
-    for (std::size_t i = 0; i + 1 < T.size(); ++i) {
-      if (!id_is(T[i], "Algo") || !is_p(T[i + 1], "::")) continue;
-      Finding fd;
-      fd.check = "algo-enum";
-      fd.path = f.path;
-      fd.line = T[i].line;
-      fd.message =
-          "stm::Algo referenced outside src/stm/; select algorithms via "
-          "runtime configuration, not hard-coded enum values";
-      fd.ctx = "Algo";
-      out.push_back(std::move(fd));
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 
 std::vector<Finding> Analyzer::run(const std::string& name, bool scoped) {
@@ -1076,19 +1010,12 @@ std::vector<Finding> Analyzer::run(const std::string& name, bool scoped) {
     check_ref_capture(out, scoped);
   else if (name == "raw-tvar-access")
     check_raw_tvar(out, scoped);
-  else if (name == "deadline")
-    check_deadline(out, scoped);
   else if (name == "tx-region")
     check_tx_region(out, scoped);
   else if (name == "env-config")
     check_env_config(out, scoped);
-  else if (name == "algo-enum")
-    check_algo_enum(out, scoped);
 
-  // Comment suppressions: the canonical name, the legacy alias, or "all".
-  const char* alias = nullptr;
-  for (const auto& c : checks())
-    if (name == c.name) alias = c.alias;
+  // Comment suppressions: the check's name, or "all".
   std::unordered_map<std::string, const SourceFile*> by_path;
   for (const auto& f : corpus_.files) by_path[f.path] = &f;
   std::vector<Finding> kept;
@@ -1096,9 +1023,7 @@ std::vector<Finding> Analyzer::run(const std::string& name, bool scoped) {
     const auto it = by_path.find(fd.path);
     if (it != by_path.end()) {
       const SourceFile& f = *it->second;
-      if (f.allowed(fd.line, name) || f.allowed(fd.line, "all") ||
-          (alias != nullptr && f.allowed(fd.line, alias)))
-        continue;
+      if (f.allowed(fd.line, name) || f.allowed(fd.line, "all")) continue;
     }
     kept.push_back(std::move(fd));
   }

@@ -18,14 +18,14 @@
 //                           or use the transactional handle
 //   ref-capture-into-defer  no [&] and no by-reference capture of locals
 //                           declared inside the transactional region in
-//                           lambdas handed to atomic_defer (alias of the
-//                           retired awk check: defer-capture)
+//                           lambdas handed to atomic_defer
 //   raw-tvar-access         load_direct/store_direct outside init/ctor//
 //                           dtor/_direct-suffixed/gate-serialized contexts
 //                           without a tmsan::ScopedRawIgnore or allow
-//   deadline, tx-region, env-config, algo-enum
-//                           ports of the legacy adtmlint awk checks (same
-//                           semantics, token-accurate)
+//   tx-region               no sleeps or OS mutexes lexically inside
+//                           stm::atomic bodies
+//   env-config              ADTM_* environment variables only read through
+//                           common/env.cpp
 #pragma once
 
 #include <map>
@@ -62,7 +62,6 @@ struct Corpus {
 
 struct CheckInfo {
   const char* name;
-  const char* alias;  // legacy name, nullptr if none
   const char* what;
 };
 
@@ -82,13 +81,11 @@ class Analyzer {
   explicit Analyzer(Corpus corpus);
 
   static const std::vector<CheckInfo>& checks();
-  // Resolve an alias ("defer-capture") to its canonical name; returns ""
-  // for unknown names.
-  static std::string canonical(const std::string& name);
+  static bool is_check(const std::string& name);
 
   // Run one check. `scoped` applies the check's default path scope (used
   // for repo-wide runs; explicit CLI paths pass scoped=false).
-  std::vector<Finding> run(const std::string& canonical_name, bool scoped);
+  std::vector<Finding> run(const std::string& name, bool scoped);
 
   const Corpus& corpus() const { return corpus_; }
 
@@ -150,10 +147,8 @@ class Analyzer {
   void check_ref_capture(std::vector<Finding>& out, bool scoped);
   void check_raw_tvar(std::vector<Finding>& out, bool scoped);
   bool raw_context_allowed(int fn_idx, std::map<int, int>& state);
-  void check_deadline(std::vector<Finding>& out, bool scoped);
   void check_tx_region(std::vector<Finding>& out, bool scoped);
   void check_env_config(std::vector<Finding>& out, bool scoped);
-  void check_algo_enum(std::vector<Finding>& out, bool scoped);
 
   Corpus corpus_;
   std::unordered_map<int, SinkSummary> sink_memo_;

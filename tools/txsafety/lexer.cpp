@@ -21,13 +21,12 @@ const std::array<const char*, 12> kPuncts = {"::", "->", "<<", ">>", "==",
                                              "!=", "<=", ">=", "&&", "||",
                                              "+=", "-="};
 
-// Harvest `txsafety:allow(a,b)` / `adtmlint:allow name` out of a comment.
+// Harvest `txsafety:allow(a,b)` out of a comment.
 void harvest_allows(const std::string& comment, int line, SourceFile& out) {
-  static const std::string kNew = "txsafety:allow";
-  static const std::string kOld = "adtmlint:allow";
-  for (std::size_t at = 0; (at = comment.find(kNew, at)) != std::string::npos;
-       at += kNew.size()) {
-    std::size_t p = at + kNew.size();
+  static const std::string kAllow = "txsafety:allow";
+  for (std::size_t at = 0; (at = comment.find(kAllow, at)) != std::string::npos;
+       at += kAllow.size()) {
+    std::size_t p = at + kAllow.size();
     while (p < comment.size() && (comment[p] == ' ' || comment[p] == '('))
       ++p;
     while (p < comment.size()) {
@@ -41,15 +40,6 @@ void harvest_allows(const std::string& comment, int line, SourceFile& out) {
         ++p;
       if (p >= comment.size() || comment[p] == ')') break;
     }
-  }
-  for (std::size_t at = 0; (at = comment.find(kOld, at)) != std::string::npos;
-       at += kOld.size()) {
-    std::size_t p = at + kOld.size();
-    while (p < comment.size() && comment[p] == ' ') ++p;
-    std::size_t b = p;
-    while (p < comment.size() && (ident_char(comment[p]) || comment[p] == '-'))
-      ++p;
-    if (p > b) out.allows[line].insert(comment.substr(b, p - b));
   }
 }
 

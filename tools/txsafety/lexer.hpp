@@ -5,9 +5,8 @@
 //  * comments, string/char literals (incl. raw strings) and preprocessor
 //    directives never produce code tokens — a check table entry such as
 //    "load_direct" can appear in a diagnostic string without tripping it;
-//  * suppression comments (`txsafety:allow(check)` and the legacy
-//    `adtmlint:allow check`) are harvested while lexing, so every check
-//    shares one suppression mechanism;
+//  * suppression comments (`txsafety:allow(check)`) are harvested while
+//    lexing, so every check shares one suppression mechanism;
 //  * bracket matching is precomputed: match[i] is the index of the token
 //    closing the (/{/[ opened at i (and vice versa), -1 when unmatched.
 #pragma once

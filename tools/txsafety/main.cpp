@@ -79,11 +79,8 @@ int usage() {
                "                [--baseline FILE | --no-baseline]\n"
                "                [--write-baseline] [--quiet]\n"
                "checks:\n";
-  for (const auto& c : Analyzer::checks()) {
-    std::cerr << "  " << c.name;
-    if (c.alias != nullptr) std::cerr << " (alias: " << c.alias << ")";
-    std::cerr << "\n";
-  }
+  for (const auto& c : Analyzer::checks())
+    std::cerr << "  " << c.name << "\n";
   return 2;
 }
 
@@ -123,11 +120,8 @@ int main(int argc, char** argv) {
   if (what.empty()) return usage();
 
   if (what == "list") {
-    for (const auto& c : Analyzer::checks()) {
-      std::cout << c.name;
-      if (c.alias != nullptr) std::cout << " (alias: " << c.alias << ")";
-      std::cout << "\n    " << c.what << "\n";
-    }
+    for (const auto& c : Analyzer::checks())
+      std::cout << c.name << "\n    " << c.what << "\n";
     return 0;
   }
 
@@ -135,12 +129,11 @@ int main(int argc, char** argv) {
   if (what == "all") {
     for (const auto& c : Analyzer::checks()) selected.push_back(c.name);
   } else {
-    const std::string canon = Analyzer::canonical(what);
-    if (canon.empty()) {
+    if (!Analyzer::is_check(what)) {
       std::cerr << "txsafety: unknown check '" << what << "'\n";
       return usage();
     }
-    selected.push_back(canon);
+    selected.push_back(what);
   }
 
   const fs::path rootp(root);
