@@ -31,6 +31,7 @@
 #include <optional>
 #include <type_traits>
 
+#include "containers/size_counter.hpp"
 #include "stm/api.hpp"
 #include "stm/tvar.hpp"
 
@@ -118,7 +119,7 @@ class TxBTree {
           leaf->values[j].set(tx, leaf->values[j + 1].get(tx));
         }
         leaf->count.set(tx, n - 1);
-        size_.set(tx, size_.get(tx) - 1);
+        size_.add(tx, -1);
         return true;
       }
     }
@@ -232,7 +233,7 @@ class TxBTree {
     leaf->keys[pos].set(tx, key);
     leaf->values[pos].set(tx, value);
     leaf->count.set(tx, n + 1);
-    size_.set(tx, size_.get(tx) + 1);
+    size_.add(tx, 1);
     return true;
   }
 
@@ -349,7 +350,7 @@ class TxBTree {
   }
 
   stm::tvar<Node*> root_{nullptr};
-  stm::tvar<std::size_t> size_{0};
+  TxSizeCounter size_;
 };
 
 }  // namespace adtm::containers

@@ -14,6 +14,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "containers/size_counter.hpp"
 #include "stm/api.hpp"
 #include "stm/tvar.hpp"
 
@@ -59,7 +60,7 @@ class TxHashMap {
     node->value.store_direct(value);
     node->next.set(tx, head.get(tx));
     head.set(tx, node);
-    size_.set(tx, size_.get(tx) + 1);
+    size_.add(tx, 1);
     return true;
   }
 
@@ -87,7 +88,7 @@ class TxHashMap {
         } else {
           prev->next.set(tx, next);
         }
-        size_.set(tx, size_.get(tx) - 1);
+        size_.add(tx, -1);
         tx.on_commit([n] {
           n->~Node();
           std::free(n);
@@ -115,7 +116,7 @@ class TxHashMap {
   }
 
   mutable std::vector<stm::tvar<Node*>> heads_;
-  stm::tvar<std::size_t> size_{0};
+  TxSizeCounter size_;
 };
 
 }  // namespace adtm::containers

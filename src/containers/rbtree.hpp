@@ -19,6 +19,7 @@
 #include <optional>
 #include <type_traits>
 
+#include "containers/size_counter.hpp"
 #include "stm/api.hpp"
 #include "stm/tvar.hpp"
 
@@ -82,7 +83,7 @@ class TxRbTree {
       parent->right.set(tx, node);
     }
     insert_fixup(tx, node);
-    size_.set(tx, size_.get(tx) + 1);
+    size_.add(tx, 1);
     return true;
   }
 
@@ -121,7 +122,7 @@ class TxRbTree {
     }
     if (z == nil_) return false;
     erase_node(tx, z);
-    size_.set(tx, size_.get(tx) - 1);
+    size_.add(tx, -1);
     // Reclaim after commit + quiescence: no concurrent transaction can
     // still hold a reference by then.
     tx.on_commit([z] {
@@ -243,7 +244,11 @@ class TxRbTree {
         }
       }
     }
-    root_.get(tx)->red.set(tx, false);
+    // Store only when the fix-up reddened the root: an unconditional
+    // store would make every insert write the root line that every
+    // operation reads first.
+    Node* root = root_.get(tx);
+    if (root->red.get(tx)) root->red.set(tx, false);
   }
 
   void transplant(stm::Tx& tx, Node* u, Node* v) {
@@ -394,7 +399,7 @@ class TxRbTree {
 
   Node* nil_;
   stm::tvar<Node*> root_{nullptr};
-  stm::tvar<std::size_t> size_{0};
+  TxSizeCounter size_;
 };
 
 }  // namespace adtm::containers

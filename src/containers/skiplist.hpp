@@ -23,6 +23,7 @@
 #include <type_traits>
 
 #include "common/rng.hpp"
+#include "containers/size_counter.hpp"
 #include "stm/api.hpp"
 #include "stm/tvar.hpp"
 
@@ -82,7 +83,7 @@ class TxSkipList {
       node->next[l].store_direct(prevs[l]->next[l].get(tx));
       prevs[l]->next[l].set(tx, node);
     }
-    size_.set(tx, size_.get(tx) + 1);
+    size_.add(tx, 1);
     return true;
   }
 
@@ -115,7 +116,7 @@ class TxSkipList {
     for (unsigned l = 0; l < hit->level; ++l) {
       prevs[l]->next[l].set(tx, hit->next[l].get(tx));
     }
-    size_.set(tx, size_.get(tx) - 1);
+    size_.add(tx, -1);
     // Reclaim after commit + quiescence: no concurrent transaction can
     // still hold a reference by then.
     tx.on_commit([hit] {
@@ -237,7 +238,7 @@ class TxSkipList {
 
   Node* head_;
   stm::tvar<std::uint64_t> height_{1};
-  stm::tvar<std::size_t> size_{0};
+  TxSizeCounter size_;
 };
 
 }  // namespace adtm::containers
