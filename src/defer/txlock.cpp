@@ -249,7 +249,19 @@ void TxLock::release(stm::Tx& tx) {
 }
 
 void TxLock::release() {
-  stm::atomic([this](stm::Tx& tx) { release(tx); });
+  // A release only publishes, so its own transaction commits without a
+  // grace period. The parked waiters' wake-up still takes a few
+  // microseconds; an owner that returned at once could re-acquire first
+  // every time. So it waits (one spin window at most) until the lock is
+  // taken, or no other thread's wait edge names it any more: every parked
+  // waiter has started its next attempt and competes on equal terms.
+  if (!stm::detail::run_publish([this](stm::Tx& tx) { release(tx); })) {
+    return;
+  }
+  stm::detail::SpinWindow spin;
+  while (owner_of(this) == kNoThread && liveness::others_wait_on(this) &&
+         spin.pause()) {
+  }
 }
 
 void TxLock::subscribe(stm::Tx& tx, Deadline deadline) const {

@@ -92,6 +92,10 @@ class TxLock {
   void release(stm::Tx& tx);
 
   // Release outside a transaction (used after a deferred operation runs).
+  // Its transaction only publishes, so it commits without quiescence;
+  // before returning, the caller gives threads parked on the lock a
+  // bounded chance to take it first. Called inside a transaction, it
+  // joins that transaction like release(tx).
   void release();
 
   // Block (via transactional retry) until the lock is free or held by the

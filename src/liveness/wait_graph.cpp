@@ -123,6 +123,18 @@ void clear_wait() noexcept {
 
 bool has_wait_edge() noexcept { return pinned_slot().edge_published; }
 
+bool others_wait_on(const void* entity) noexcept {
+  const std::uint32_t me = thread_id();
+  const std::uint32_t n = thread_high_water();
+  for (std::uint32_t tid = 0; tid < n; ++tid) {
+    if (tid != me &&
+        g_edges[tid]->lock.load(std::memory_order_acquire) == entity) {
+      return true;
+    }
+  }
+  return false;
+}
+
 bool wait_edge_checkable() noexcept {
   if (!pinned_slot().edge_published) return false;
   const WaitEdge& e = *g_edges[thread_id()];

@@ -70,6 +70,12 @@ void clear_wait() noexcept;
 // transaction driver to clear stale edges cheaply).
 bool has_wait_edge() noexcept;
 
+// True if a thread other than the caller has a published edge on
+// `entity`. A parked waiter keeps its edge until its next attempt starts,
+// so a releasing owner polls this to hand the lock over instead of
+// barging (TxLock::release). Racy by design: a hint, never a guarantee.
+bool others_wait_on(const void* entity) noexcept;
+
 // True if the calling thread's published edge may be deadlock-checked
 // right now: any CondVar edge, or a Lock edge while pinned_holds() > 0.
 // (The park loop consults this; the block sites apply their own

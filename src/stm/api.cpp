@@ -156,6 +156,9 @@ struct Driver {
       obs::emit(obs::EventType::RetryPark, obs::AbortCause::None,
                 obs_idx(tx));
     }
+    // Poll for the first spin window: a lock hand-off or a short writer
+    // usually wakes the waiter within microseconds. Then back off.
+    SpinWindow spin;
     Backoff bo;
     for (;;) {
       if (retry_wake_ready(tx)) {
@@ -180,7 +183,7 @@ struct Driver {
       // checkable only while committed holds are pinned; condvar edges
       // always are (notification duty is committed state).
       if (liveness::wait_edge_checkable()) liveness::deadlock_check();
-      bo.pause();
+      if (!spin.pause()) bo.pause();
     }
   }
 
@@ -396,8 +399,10 @@ struct Driver {
   // re-execution). The mode is speculative, serial or CGL; escalating to
   // serial changes it in place. What differs per mode — entry and exit,
   // undoing a failed attempt, waiting out a retry() — is in the helpers
-  // above; every outcome is accounted by record().
-  static void run(Tx& tx, FunctionRef<void(Tx&)> body, const Backend* b) {
+  // above; every outcome is accounted by record(). A `publish_only`
+  // transaction commits without quiescence (see run_publish).
+  static void run(Tx& tx, FunctionRef<void(Tx&)> body, const Backend* b,
+                  bool publish_only) {
     RuntimeState& rt = runtime();
     const Config& cfg = rt.config;
     std::unique_lock<std::mutex> cgl(rt.cgl_mutex, std::defer_lock);
@@ -473,6 +478,20 @@ struct Driver {
         body(tx);
         if (traced) t_commit = now_ns();
         tx.commit();
+        // The one quiescence (Listing 1, TxEnd: validate, quiesce, run the
+        // deferred operations). A writer waits for every transaction that
+        // was active before its commit, so that its deferred operations,
+        // its frees and its caller may touch privatized memory
+        // non-transactionally (paper §2). A publish-only transaction
+        // privatizes nothing: what it publishes is ordered by the orecs it
+        // wrote, which every later reader validates against.
+        if (publish_only) {
+          ADTM_INVARIANT(tx.frees_.empty(),
+                         "a publish-only transaction freed memory; its "
+                         "frees need the grace period it skips");
+        } else if (tx.commit_ts_ != 0 && cfg.quiescence) {
+          quiesce_until(tx.commit_ts_);
+        }
       } catch (ConflictAbort& ca) {
         out = Outcome::Conflict;
         cause = ca.cause;
@@ -591,7 +610,19 @@ void run_atomic(FunctionRef<void(Tx&)> body) {
     return;
   }
   ActivityScope scope;
-  Driver::run(tx, body, active_backend_or_default());
+  Driver::run(tx, body, active_backend_or_default(), false);
+}
+
+bool run_publish(FunctionRef<void(Tx&)> body) {
+  Tx& tx = Driver::tls();
+  if (Driver::active(tx)) {
+    // Flattened into a user transaction, which quiesces as usual.
+    body(tx);
+    return false;
+  }
+  ActivityScope scope;
+  Driver::run(tx, body, active_backend_or_default(), true);
+  return true;
 }
 
 }  // namespace detail

@@ -95,7 +95,8 @@ struct BackendOps {
   std::uint64_t (*read_word)(Tx& tx, const detail::Word* addr);
   void (*write_word)(Tx& tx, detail::Word* addr, std::uint64_t value);
   // Full commit: publish, file the tmsan record, release locks, leave the
-  // registry, quiesce, and mark the transaction finished (BackendSpi).
+  // registry, and mark the transaction finished with its commit timestamp
+  // (BackendSpi::finish_commit); the driver then quiesces.
   // May throw ConflictAbort; the driver then calls rollback.
   void (*commit)(Tx& tx);
   // Extension-state cleanup (e.g. reader indicators), called at the start

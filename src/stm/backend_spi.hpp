@@ -43,9 +43,14 @@ struct BackendSpi {
     tx.arbitrate_busy_orec(s, spins, patience_deadline, outwaited);
   }
 
-  // Mark the transaction committed. BackendOps::commit must call this
-  // last, after releasing locks / leaving the registry / quiescing.
-  static void finish_commit(Tx& tx) noexcept { tx.in_tx_ = false; }
+  // Mark the transaction committed at `commit_ts`, the timestamp a writer
+  // commit published at (0 when read-only); the driver quiesces against
+  // it. BackendOps::commit must call this last, after releasing locks and
+  // leaving the registry.
+  static void finish_commit(Tx& tx, std::uint64_t commit_ts) noexcept {
+    tx.commit_ts_ = commit_ts;
+    tx.in_tx_ = false;
+  }
 };
 
 }  // namespace adtm::stm

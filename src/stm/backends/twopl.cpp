@@ -248,7 +248,6 @@ void twopl_write(Tx& tx, detail::Word* addr, std::uint64_t value) {
 }
 
 void twopl_commit(Tx& tx) {
-  const Config& cfg = detail::runtime().config;
   const std::uint32_t tid = BackendSpi::tid(tx);
   auto& locks = BackendSpi::locks(tx);
   if (locks.empty()) {
@@ -259,7 +258,7 @@ void twopl_commit(Tx& tx) {
     clear_indicators(tid);
     detail::registry_leave();
     tmsan::on_tx_commit(0);  // read-only: nothing enters the history
-    BackendSpi::finish_commit(tx);
+    BackendSpi::finish_commit(tx, 0);
     return;
   }
   const std::uint64_t wt = clock_advance();
@@ -275,10 +274,7 @@ void twopl_commit(Tx& tx) {
   BackendSpi::reads(tx).clear();
   clear_indicators(tid);
   detail::registry_leave();
-  if (cfg.quiescence) {
-    detail::quiesce_until(wt);
-  }
-  BackendSpi::finish_commit(tx);
+  BackendSpi::finish_commit(tx, wt);
 }
 
 void twopl_rollback(Tx& tx) {

@@ -1,5 +1,7 @@
 #include "stm/registry.hpp"
 
+#include <thread>
+
 #include "common/backoff.hpp"
 #include "common/panic.hpp"
 #include "common/stats.hpp"
@@ -63,19 +65,19 @@ void quiesce_until(std::uint64_t commit_ts) noexcept {
   const std::uint32_t me = thread_id();
   ADTM_INVARIANT(g_registry[me]->active_since.load() == 0,
                  "quiesce with own slot still active");
-  bool waited = false;
+  SpinWindow spin;
   for (std::uint32_t i = 0; i < kMaxThreads; ++i) {
     if (i == me) continue;
-    Backoff bo;
     for (;;) {
       const std::uint64_t a =
           g_registry[i]->active_since.load(std::memory_order_acquire);
       if (a == 0 || a >= commit_ts) break;
-      waited = true;
-      bo.pause();
+      // Past the spin window the awaited transaction may need this CPU
+      // (more threads than cores): let it run.
+      if (!spin.pause()) std::this_thread::yield();
     }
   }
-  if (waited) stats().add(Counter::QuiesceWaits);
+  if (spin.waited()) stats().add(Counter::QuiesceWaits);
 }
 
 namespace {

@@ -6,8 +6,10 @@
 #include <cstdint>
 
 #include "common/align.hpp"
+#include "common/backoff.hpp"
 #include "common/panic.hpp"
 #include "common/thread_id.hpp"
+#include "common/timing.hpp"
 
 namespace adtm::stm::detail {
 
@@ -78,8 +80,38 @@ inline void registry_leave() noexcept {
 }
 
 // Waits until no transaction that started before `commit_ts` is still
-// active. Callers must have already cleared their own slot.
+// active. Callers must have already cleared their own slot. Polls each
+// slot (SpinWindow), then yields between polls once the wait has lasted
+// longer than the spin window.
 void quiesce_until(std::uint64_t commit_ts) noexcept;
+
+// The busy-poll phase of the runtime's short waits: quiescence, the retry
+// park and the TxLock release hand-off. The transactions and wake-ups they
+// wait for usually take a microsecond or two, so each wait re-reads its
+// predicate after a single cpu_relax() — a randomized exponential backoff
+// overshoots such waits several times over. Once one wait has lasted this
+// long, it stops spinning: it yields, backs off, or gives up.
+inline constexpr std::uint64_t kSpinWindowNs = 50'000;
+
+// Polling schedule of one wait. pause() spins once and returns true until
+// kSpinWindowNs after its first call; from then on it returns false
+// without pausing, and the caller decides what to do instead.
+class SpinWindow {
+ public:
+  bool pause() noexcept {
+    const std::uint64_t now = now_ns();
+    if (until_ == 0) until_ = now + kSpinWindowNs;
+    if (now >= until_) return false;
+    cpu_relax();
+    return true;
+  }
+
+  // True once pause() has been called: the wait did not end at once.
+  bool waited() const noexcept { return until_ != 0; }
+
+ private:
+  std::uint64_t until_ = 0;
+};
 
 // Acquire/release of the serial gate. `must` says the caller cannot make
 // progress without serial mode (become_irrevocable, an HTM capacity

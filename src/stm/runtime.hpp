@@ -48,6 +48,13 @@ Tx& tls_tx() noexcept;
 // waiting, and post-commit epilogues.
 void run_atomic(FunctionRef<void(Tx&)> body);
 
+// Executes `body` as one transaction that only publishes: it frees
+// nothing and privatizes nothing, so its commit skips quiescence (the
+// non-transactional TxLock::release()). Inside a transaction the body
+// joins the enclosing one, which quiesces as usual. Returns true when the
+// body ran, and committed, as its own transaction.
+bool run_publish(FunctionRef<void(Tx&)> body);
+
 // Executes `body` as a closed-nested scope of the enclosing transaction:
 // cancel() or an exception inside the body rolls back only the scope's
 // effects (partial rollback); the enclosing transaction continues.

@@ -54,6 +54,7 @@ void Tx::begin(const Backend* backend, Mode mode, std::uint32_t attempt) {
   algo_ = backend->core;
   attempt_ = attempt;
   tid_ = thread_id();
+  commit_ts_ = 0;
   wrote_direct_ = false;
   reads_.clear();
   writes_.clear();
@@ -127,7 +128,8 @@ void Tx::commit() {
   }
   if (backend_->ops != nullptr) {
     // Extension backends own their whole commit protocol (publication,
-    // tmsan filing, lock release, registry exit, quiescence).
+    // tmsan filing, lock release, registry exit) and report the commit
+    // timestamp through BackendSpi::finish_commit.
     backend_->ops->commit(*this);
     return;
   }
@@ -135,7 +137,6 @@ void Tx::commit() {
     commit_norec();
     return;
   }
-  const Config& cfg = detail::runtime().config;
   const bool read_only = (algo_ == Algo::TL2) ? writes_.empty() : locks_.empty();
   if (read_only) {
     // Commit-time validation: the transaction linearizes at commit, not at
@@ -193,15 +194,12 @@ void Tx::commit() {
   writes_.clear();
   reads_.clear();
   detail::registry_leave();
-  // Privatization safety (paper §2): a writer must wait for every
-  // transaction that was concurrently active before its caller may touch
-  // privatized memory non-transactionally. The paper's Listing 1 marks
-  // Quiesce() as STM-only because hardware commits are instantaneous;
-  // our HTM *simulation* has a commit/abort cleanup window, so it must
-  // quiesce too to preserve the strong isolation real HTM provides.
-  if (cfg.quiescence) {
-    detail::quiesce_until(wt);
-  }
+  // The driver quiesces against this (paper §2). The paper's Listing 1
+  // marks Quiesce() as STM-only because hardware commits are
+  // instantaneous; our HTM *simulation* has a commit/abort cleanup
+  // window, so it quiesces too to keep the strong isolation real HTM
+  // provides.
+  commit_ts_ = wt;
   in_tx_ = false;
 }
 
@@ -259,9 +257,7 @@ void Tx::commit_norec() {
   norec_reads_.clear();
   writes_.clear();
   detail::registry_leave();
-  if (cfg.quiescence) {
-    detail::quiesce_until(s + 2);
-  }
+  commit_ts_ = s + 2;
   in_tx_ = false;
 }
 

@@ -78,6 +78,9 @@ class Tx {
   Algo algo_ = Algo::TL2;           // backend_->core (inline-dispatch key)
   const Backend* backend_ = nullptr;  // resolved descriptor for this attempt
   std::uint64_t start_ = 0;  // snapshot timestamp
+  // Timestamp a writer commit published at; 0 for a read-only or
+  // direct-mode commit. The driver quiesces against it.
+  std::uint64_t commit_ts_ = 0;
   std::uint32_t attempt_ = 0;
   std::uint32_t tid_ = 0;  // cached small thread id
   bool in_tx_ = false;

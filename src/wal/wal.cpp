@@ -99,7 +99,8 @@ Lsn WriteAheadLog::append(stm::Tx& tx, std::string payload) {
 }
 
 Lsn WriteAheadLog::append(std::string payload) {
-  return stm::atomic([&](stm::Tx& tx) { return append(tx, std::move(payload)); });
+  // Each attempt logs its own copy: the body may re-execute.
+  return stm::atomic([&](stm::Tx& tx) { return append(tx, payload); });
 }
 
 bool WriteAheadLog::is_durable(stm::Tx& tx, Lsn lsn) const {

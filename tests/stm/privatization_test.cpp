@@ -3,6 +3,7 @@
 // quiescence must prevent still-running transactions from racing with it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -17,27 +18,25 @@ using test::AlgoTest;
 
 class PrivatizationTest : public AlgoTest {};
 
-TEST_P(PrivatizationTest, PrivatizedObjectIsQuiescent) {
-  // A one-slot "mailbox": the producer publishes a buffer, mutator
-  // transactions increment both fields keeping them equal, and the
-  // privatizer unlinks the buffer and then reads it NON-transactionally.
-  // Without quiescence a mutator still writing back could be observed
-  // mid-update (fields unequal).
+// A one-slot "mailbox": the producer publishes a buffer, mutator
+// transactions increment both fields keeping them equal, and the
+// privatizer unlinks the buffer and then reads it NON-transactionally.
+// Without quiescence a mutator still writing back could be observed
+// mid-update (fields unequal). Returns the number of torn reads.
+long privatize_rounds(int mutator_threads, int rounds) {
   struct Buf {
     stm::tvar<long> a{0};
     stm::tvar<long> b{0};
   };
 
-  constexpr int kRounds = 300;
-  std::atomic<long> violations{0};
-
-  for (int round = 0; round < kRounds; ++round) {
+  long violations = 0;
+  for (int round = 0; round < rounds; ++round) {
     Buf buf;
     stm::tvar<Buf*> shared{&buf};
     std::atomic<bool> stop{false};
 
     std::vector<std::thread> mutators;
-    for (int m = 0; m < 2; ++m) {
+    for (int m = 0; m < mutator_threads; ++m) {
       mutators.emplace_back([&] {
         while (!stop.load(std::memory_order_relaxed)) {
           stm::atomic([&](stm::Tx& tx) {
@@ -59,12 +58,24 @@ TEST_P(PrivatizationTest, PrivatizedObjectIsQuiescent) {
         });
     const long a = mine->a.load_direct();
     const long b = mine->b.load_direct();
-    if (a != b) violations.fetch_add(1);
+    if (a != b) ++violations;
 
     stop.store(true);
     for (auto& t : mutators) t.join();
   }
-  EXPECT_EQ(violations.load(), 0);
+  return violations;
+}
+
+TEST_P(PrivatizationTest, PrivatizedObjectIsQuiescent) {
+  EXPECT_EQ(privatize_rounds(2, 300), 0);
+}
+
+// More threads than cores: quiescence outlasts its spin window and must
+// yield for the transactions it waits on to finish.
+TEST_P(PrivatizationTest, PrivatizedObjectIsQuiescentOversubscribed) {
+  const int cores =
+      static_cast<int>(std::min(16u, std::max(1u, std::thread::hardware_concurrency())));
+  EXPECT_EQ(privatize_rounds(4 * cores, 30), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgos, PrivatizationTest, test::AllAlgos(),

@@ -109,6 +109,9 @@ const std::vector<CheckInfo>& Analyzer::checks() {
        "or under tmsan::ScopedRawIgnore"},
       {"tx-region",
        "no sleeps or OS mutexes lexically inside stm::atomic bodies"},
+      {"move-in-tx-body",
+       "no std::move, inside an stm::atomic body, of a variable declared "
+       "outside it"},
       {"env-config",
        "ADTM_* env vars only read through common/env.cpp"},
   };
@@ -970,6 +973,53 @@ void Analyzer::check_tx_region(std::vector<Finding>& out, bool scoped) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// move-in-tx-body
+// ---------------------------------------------------------------------------
+
+void Analyzer::check_move_in_tx(std::vector<Finding>& out, bool scoped) {
+  for (const TxRegion& r : tx_regions("move-in-tx-body", scoped)) {
+    // A function taking Tx& gets fresh parameters on every call; only a
+    // lambda body re-executes against the same enclosing variables.
+    if (r.fn >= 0) continue;
+    const SourceFile& f = corpus_.files[r.file];
+    const auto& T = f.toks;
+    // Deferred lambda bodies run once, after commit. Their capture lists
+    // are evaluated by every attempt and stay in scope.
+    std::vector<std::pair<std::size_t, std::size_t>> once;
+    for (const auto& ep : epilogue_ranges(f, r.begin, r.end)) {
+      std::size_t cc = 0, bo = 0, bc = 0;
+      if (lambda_at(f, ep.first, cc, bo, bc) && bc > bo)
+        once.emplace_back(bo, bc);
+    }
+    for (std::size_t i = r.begin; i + 4 < r.end; ++i) {
+      if (const std::size_t to = skip_to(once, i)) {
+        i = to;
+        continue;
+      }
+      if (!id_is(T[i], "std") || !is_p(T[i + 1], "::") ||
+          !id_is(T[i + 2], "move") || !is_p(T[i + 3], "(") ||
+          !is_id(T[i + 4]))
+        continue;
+      // The base identifier of the moved expression: `x`, `x.field`,
+      // `this->member_`.
+      const std::string& name = T[i + 4].text;
+      if (declared_in(f, name, r.begin - 1, i)) continue;
+      Finding fd;
+      fd.check = "move-in-tx-body";
+      fd.path = f.path;
+      fd.line = T[i].line;
+      fd.message = "std::move of '" + name +
+                   "', declared outside this stm::atomic body; a "
+                   "re-executed body moves it again and sees the moved-from "
+                   "value — copy it per attempt, or move it after the "
+                   "transaction";
+      fd.ctx = r.desc;
+      out.push_back(std::move(fd));
+    }
+  }
+}
+
 void Analyzer::check_env_config(std::vector<Finding>& out, bool scoped) {
   for (std::size_t fi = 0; fi < corpus_.files.size(); ++fi) {
     const SourceFile& f = corpus_.files[fi];
@@ -1014,6 +1064,8 @@ std::vector<Finding> Analyzer::run(const std::string& name, bool scoped) {
     check_tx_region(out, scoped);
   else if (name == "env-config")
     check_env_config(out, scoped);
+  else if (name == "move-in-tx-body")
+    check_move_in_tx(out, scoped);
 
   // Comment suppressions: the check's name, or "all".
   std::unordered_map<std::string, const SourceFile*> by_path;

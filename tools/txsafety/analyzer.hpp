@@ -26,6 +26,9 @@
 //                           stm::atomic bodies
 //   env-config              ADTM_* environment variables only read through
 //                           common/env.cpp
+//   move-in-tx-body         no std::move, inside an stm::atomic lambda, of
+//                           a variable declared outside it (a re-executed
+//                           body would move it again)
 #pragma once
 
 #include <map>
@@ -149,6 +152,7 @@ class Analyzer {
   bool raw_context_allowed(int fn_idx, std::map<int, int>& state);
   void check_tx_region(std::vector<Finding>& out, bool scoped);
   void check_env_config(std::vector<Finding>& out, bool scoped);
+  void check_move_in_tx(std::vector<Finding>& out, bool scoped);
 
   Corpus corpus_;
   std::unordered_map<int, SinkSummary> sink_memo_;
