@@ -14,6 +14,7 @@
 #include "defer/txlock.hpp"
 #include "liveness/contention.hpp"
 #include "liveness/watchdog.hpp"
+#include "obs/trace.hpp"
 #include "stm/api.hpp"
 #include "stm/tvar.hpp"
 
@@ -180,43 +181,48 @@ void BM_LatencyHistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_LatencyHistogramRecord);
 
-void BM_LockStatsDisabledRecord(benchmark::State& state) {
-  // The price every contended acquire pays when ADTM_LOCK_STATS is off:
-  // must be one relaxed load and out.
-  LockStatsRegistry reg;
-  int key;
+void BM_LockStatsClosedGateRecord(benchmark::State& state) {
+  // The price a contended acquire pays for lock stats while the trace
+  // gate is closed: one relaxed load at the block site, one thread-local
+  // compare at the acquire.
+  obs::disable();
+  int key = 0;
   for (auto _ : state) {
-    reg.record_wait(&key, 1'000);
+    obs::lock_wait_begin(&key);
+    obs::lock_wait_end(&key);
   }
-  benchmark::DoNotOptimize(reg.wait_count(&key));
+  benchmark::DoNotOptimize(key);
 }
-BENCHMARK(BM_LockStatsDisabledRecord);
+BENCHMARK(BM_LockStatsClosedGateRecord);
 
 void BM_LockStatsEnabledRecord(benchmark::State& state) {
-  // Enabled path: hash, claim-once probe, histogram insert.
-  LockStatsRegistry reg;
-  reg.set_enabled(true);
-  int key;
+  // Open gate: one hold span — thread-local start, hash, claim-once
+  // probe, histogram insert.
+  obs::enable();
+  int key = 0;
   for (auto _ : state) {
-    reg.record_wait(&key, 1'000);
+    obs::lock_hold_begin(&key);
+    obs::lock_hold_end(&key);
   }
-  benchmark::DoNotOptimize(reg.wait_count(&key));
+  obs::disable();
+  obs::clear();
 }
 BENCHMARK(BM_LockStatsEnabledRecord);
 
 void BM_LockStatsInstrumentedAcquire(benchmark::State& state) {
-  // End-to-end: uncontended TxLock acquire/release with lock stats on —
-  // the hold-span on_commit hooks ride the transaction.
+  // End-to-end: uncontended TxLock acquire/release with the trace gate
+  // open — the hold-span on_commit hooks and the transaction events ride
+  // the transaction.
   init_tl2();
-  lock_stats().reset();
-  lock_stats().set_enabled(true);
+  obs::clear();
+  obs::enable();
   TxLock lock;
   for (auto _ : state) {
     lock.acquire();
     lock.release();
   }
-  lock_stats().set_enabled(false);
-  lock_stats().reset();
+  obs::disable();
+  obs::clear();
 }
 BENCHMARK(BM_LockStatsInstrumentedAcquire);
 

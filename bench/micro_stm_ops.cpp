@@ -3,7 +3,9 @@
 // defer's single-thread latency in Figure 2(a).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "bench/backend_bench.hpp"
@@ -72,15 +74,26 @@ void BM_WriterTx(benchmark::State& state) {
 }
 BENCHMARK(BM_WriterTx)->Apply(AllBackends);
 
+// Every backend at one thread and at min(4, cores) threads. Multi-thread
+// runs give each thread its own tvar (the counter is a local), so the
+// rows measure per-commit costs without data conflicts; thread 0 does the
+// setup, which the other threads wait out at the timing-loop barrier.
+void OneAndFourThreads(benchmark::internal::Benchmark* b) {
+  AllBackends(b);
+  b->Threads(1);
+  const int cores = static_cast<int>(std::thread::hardware_concurrency());
+  if (const int n = std::min(4, cores); n > 1) b->Threads(n);
+}
+
 void BM_CounterIncrement(benchmark::State& state) {
-  init_algo(state);
+  if (state.thread_index() == 0) init_algo(state);
   stm::tvar<long> counter{0};
   for (auto _ : state) {
     stm::atomic([&](stm::Tx& tx) { counter.set(tx, counter.get(tx) + 1); });
   }
   set_label(state);
 }
-BENCHMARK(BM_CounterIncrement)->Apply(AllBackends);
+BENCHMARK(BM_CounterIncrement)->Apply(OneAndFourThreads);
 
 void BM_UninstrumentedBaseline(benchmark::State& state) {
   // The cost floor: the same counter increment with no TM at all.
@@ -131,17 +144,21 @@ void BM_CounterIncrementTraced(benchmark::State& state) {
   // this variant runs the same transaction with the full event pipeline
   // live. Their ratio is the cost of enabling; BM_CounterIncrement vs the
   // pre-obs build is the disabled-overhead acceptance bound.
-  init_algo(state);
-  obs::enable();
+  if (state.thread_index() == 0) {
+    init_algo(state);
+    obs::enable();
+  }
   stm::tvar<long> counter{0};
   for (auto _ : state) {
     stm::atomic([&](stm::Tx& tx) { counter.set(tx, counter.get(tx) + 1); });
   }
-  obs::disable();
-  obs::clear();
+  if (state.thread_index() == 0) {
+    obs::disable();
+    obs::clear();
+  }
   set_label(state);
 }
-BENCHMARK(BM_CounterIncrementTraced)->Apply(AllBackends);
+BENCHMARK(BM_CounterIncrementTraced)->Apply(OneAndFourThreads);
 
 // Forwards console output unchanged while capturing every run for the
 // machine-readable BENCH_stm.json record.

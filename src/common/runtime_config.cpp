@@ -3,7 +3,6 @@
 #include <mutex>
 
 #include "common/env.hpp"
-#include "common/stats.hpp"
 
 namespace adtm {
 
@@ -15,7 +14,6 @@ RuntimeConfig runtime_config_from_env() {
       env_u64("ADTM_ADAPT_MIN_DWELL_MS", cfg.adapt_min_dwell_ms);
   cfg.starvation_threshold = static_cast<std::uint32_t>(
       env_u64("ADTM_STARVATION_THRESHOLD", cfg.starvation_threshold));
-  cfg.lock_stats = env_u64("ADTM_LOCK_STATS", cfg.lock_stats ? 1 : 0) != 0;
   cfg.stall_budget_ms = env_u64("ADTM_STALL_BUDGET_MS", cfg.stall_budget_ms);
   cfg.watchdog_interval_ms =
       env_u64("ADTM_WATCHDOG_INTERVAL_MS", cfg.watchdog_interval_ms);
@@ -84,10 +82,9 @@ const RuntimeConfig& runtime_config() noexcept { return mutable_config(); }
 void configure(const RuntimeConfig& cfg) {
   std::lock_guard<std::mutex> lk(g_config_mutex);
   mutable_config() = cfg;
-  // Knobs gating live singletons take effect immediately; subsystems that
-  // read their knobs at each start (watchdog, stm::init) pick the new
-  // values up there.
-  lock_stats().set_enabled(cfg.lock_stats);
+  // Knobs gating live singletons (tracing) take effect immediately;
+  // subsystems that read their knobs at each start (watchdog, stm::init)
+  // pick the new values up there.
   for (std::size_t i = 0; i < g_applier_count; ++i) g_appliers[i](cfg);
 }
 

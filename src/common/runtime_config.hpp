@@ -8,10 +8,10 @@
 //
 // Resolution order: the first call to runtime_config() (typically from
 // stm::init or a subsystem singleton) snapshots the environment; a later
-// configure() replaces the snapshot and pushes the knobs that gate live
-// singletons (per-lock stats, tracing). Subsystems that read their knobs
-// at each start — the watchdog (WatchdogOptions), the contention manager
-// (stm::init) — pick up the new values naturally.
+// configure() replaces the snapshot and pushes the knob that gates a live
+// singleton (tracing, which also gates per-lock stats). Subsystems that
+// read their knobs at each start — the watchdog (WatchdogOptions), the
+// contention manager (stm::init) — pick up the new values naturally.
 //
 // The full knob table lives in README.md ("Runtime configuration").
 #pragma once
@@ -42,8 +42,6 @@ struct RuntimeConfig {
   std::uint32_t starvation_threshold = 64;
 
   // --- diagnostics (liveness) ----------------------------------------
-  // Per-lock wait/hold latency histograms. [ADTM_LOCK_STATS]
-  bool lock_stats = false;
   // Park duration after which the watchdog flags a thread as stalled.
   // [ADTM_STALL_BUDGET_MS]
   std::uint64_t stall_budget_ms = 2000;
@@ -56,8 +54,10 @@ struct RuntimeConfig {
   std::uint32_t reap_budgets = 4;
 
   // --- tracing (obs) -------------------------------------------------
-  // Transaction tracing gate; when set via environment, tracing starts
-  // at the first stm::init. [ADTM_TRACE]
+  // The one gate for off-by-default diagnostics: transaction tracing,
+  // the run-summary aggregates and per-lock wait/hold statistics. When
+  // set via environment, tracing starts at the first stm::init.
+  // [ADTM_TRACE]
   bool trace = false;
   // Per-thread trace ring capacity in events (rounded up to a power of
   // two; one event = 32 bytes). [ADTM_TRACE_RING]
@@ -125,7 +125,7 @@ RuntimeConfig runtime_config_from_env();
 const RuntimeConfig& runtime_config() noexcept;
 
 // Programmatic override: replaces the process-wide snapshot and applies
-// the knobs that gate already-running singletons (lock stats, tracing).
+// the knob that gates an already-running singleton (tracing).
 // Call at startup or between test phases, not concurrently with
 // transactions.
 void configure(const RuntimeConfig& cfg);

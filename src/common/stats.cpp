@@ -3,8 +3,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "common/runtime_config.hpp"
-
 namespace adtm {
 
 const char* counter_name(Counter c) noexcept {
@@ -102,125 +100,15 @@ std::uint64_t LatencyHistogram::percentile(double p) const noexcept {
   return bucket_value(kBuckets - 1);
 }
 
+void LatencyHistogram::merge(const LatencyHistogram& other) noexcept {
+  for (std::uint32_t b = 0; b < kBuckets; ++b) {
+    buckets_[b].fetch_add(other.buckets_[b].load(std::memory_order_relaxed),
+                          std::memory_order_relaxed);
+  }
+}
+
 void LatencyHistogram::reset() noexcept {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-}
-
-// --- LockStatsRegistry -----------------------------------------------------
-
-namespace {
-
-std::size_t lock_hash(const void* lock) noexcept {
-  auto a = reinterpret_cast<std::uintptr_t>(lock);
-  a >>= 4;  // locks are word-aligned objects; drop the dead bits
-  a *= 0x9E3779B97F4A7C15ull;
-  return static_cast<std::size_t>(a >> 56);  // top 8 bits: kEntries = 256
-}
-
-}  // namespace
-
-LockStatsRegistry::LockStatsRegistry()
-    : enabled_(runtime_config().lock_stats) {}
-
-const LockStatsRegistry::Entry* LockStatsRegistry::find(
-    const void* lock) const noexcept {
-  const std::size_t start = lock_hash(lock);
-  for (std::size_t i = 0; i < kEntries; ++i) {
-    const Entry& e = entries_[(start + i) % kEntries];
-    const void* key = e.key.load(std::memory_order_acquire);
-    if (key == lock) return &e;
-    if (key == nullptr) return nullptr;  // claim-once: absent
-  }
-  return nullptr;
-}
-
-LockStatsRegistry::Entry* LockStatsRegistry::find_or_claim(
-    const void* lock) noexcept {
-  const std::size_t start = lock_hash(lock);
-  for (std::size_t i = 0; i < kEntries; ++i) {
-    Entry& e = entries_[(start + i) % kEntries];
-    const void* key = e.key.load(std::memory_order_acquire);
-    if (key == lock) return &e;
-    if (key == nullptr) {
-      const void* expected = nullptr;
-      if (e.key.compare_exchange_strong(expected, lock,
-                                        std::memory_order_acq_rel)) {
-        return &e;
-      }
-      if (expected == lock) return &e;  // lost the race to ourselves
-    }
-  }
-  dropped_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
-}
-
-void LockStatsRegistry::record_wait(const void* lock,
-                                    std::uint64_t ns) noexcept {
-  if (!enabled()) return;
-  if (Entry* e = find_or_claim(lock)) e->wait.record(ns);
-}
-
-void LockStatsRegistry::record_hold(const void* lock,
-                                    std::uint64_t ns) noexcept {
-  if (!enabled()) return;
-  if (Entry* e = find_or_claim(lock)) e->hold.record(ns);
-}
-
-std::uint64_t LockStatsRegistry::wait_count(const void* lock) const noexcept {
-  const Entry* e = find(lock);
-  return e ? e->wait.count() : 0;
-}
-
-std::uint64_t LockStatsRegistry::hold_count(const void* lock) const noexcept {
-  const Entry* e = find(lock);
-  return e ? e->hold.count() : 0;
-}
-
-std::uint64_t LockStatsRegistry::wait_percentile(const void* lock,
-                                                 double p) const noexcept {
-  const Entry* e = find(lock);
-  return e ? e->wait.percentile(p) : 0;
-}
-
-std::uint64_t LockStatsRegistry::hold_percentile(const void* lock,
-                                                 double p) const noexcept {
-  const Entry* e = find(lock);
-  return e ? e->hold.percentile(p) : 0;
-}
-
-std::string LockStatsRegistry::report() const {
-  std::ostringstream out;
-  for (const Entry& e : entries_) {
-    const void* key = e.key.load(std::memory_order_acquire);
-    if (key == nullptr) continue;
-    const std::uint64_t waits = e.wait.count();
-    const std::uint64_t holds = e.hold.count();
-    if (waits == 0 && holds == 0) continue;
-    out << "lock " << key << ": " << waits << " waits (p50 "
-        << e.wait.percentile(50) / 1000 << " us, p99 "
-        << e.wait.percentile(99) / 1000 << " us), " << holds << " holds (p50 "
-        << e.hold.percentile(50) / 1000 << " us, p99 "
-        << e.hold.percentile(99) / 1000 << " us)\n";
-  }
-  const std::uint64_t drops = dropped();
-  if (drops != 0) {
-    out << "lock-stats table full: " << drops << " record(s) dropped\n";
-  }
-  return out.str();
-}
-
-void LockStatsRegistry::reset() noexcept {
-  for (Entry& e : entries_) {
-    e.key.store(nullptr, std::memory_order_relaxed);
-    e.wait.reset();
-    e.hold.reset();
-  }
-  dropped_.store(0, std::memory_order_relaxed);
-}
-
-LockStatsRegistry& lock_stats() noexcept {
-  static LockStatsRegistry registry;
-  return registry;
 }
 
 }  // namespace adtm

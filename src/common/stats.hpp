@@ -95,6 +95,10 @@ class LatencyHistogram {
     buckets_[bucket_of(ns)].fetch_add(1, std::memory_order_relaxed);
   }
 
+  // Add every bucket of `other` into this histogram (summing per-thread
+  // histograms into one distribution).
+  void merge(const LatencyHistogram& other) noexcept;
+
   std::uint64_t count() const noexcept;
 
   // Value representative of the bucket holding the p-th percentile sample
@@ -120,69 +124,5 @@ class LatencyHistogram {
  private:
   std::atomic<std::uint64_t> buckets_[kBuckets] = {};
 };
-
-// --- per-lock hold/wait statistics -----------------------------------------
-//
-// Wait and hold time distributions per TxLock, keyed by lock address in a
-// fixed-size claim-once hash table (capacity planning: "which lock do
-// threads queue on, and for how long?"). Disabled by default — recording
-// costs a histogram insert per committed acquire/release — and switched on
-// with ADTM_LOCK_STATS=1 (or set_enabled, for tests). When more than
-// kEntries distinct locks are tracked, further locks are dropped and
-// counted, never silently merged.
-class LockStatsRegistry {
- public:
-  static constexpr std::size_t kEntries = 256;
-
-  LockStatsRegistry();
-
-  bool enabled() const noexcept {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-  void set_enabled(bool on) noexcept {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-
-  // Record one committed wait-for-acquire / hold span for `lock`. No-ops
-  // (cheaply) while disabled.
-  void record_wait(const void* lock, std::uint64_t ns) noexcept;
-  void record_hold(const void* lock, std::uint64_t ns) noexcept;
-
-  // Per-lock accessors; 0 for a lock that was never recorded.
-  std::uint64_t wait_count(const void* lock) const noexcept;
-  std::uint64_t hold_count(const void* lock) const noexcept;
-  std::uint64_t wait_percentile(const void* lock, double p) const noexcept;
-  std::uint64_t hold_percentile(const void* lock, double p) const noexcept;
-
-  // Locks that could not be tracked because the table was full.
-  std::uint64_t dropped() const noexcept {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-
-  // One line per tracked lock: counts plus p50/p99 of both distributions.
-  // "" when nothing was recorded.
-  std::string report() const;
-
-  // Test support: forget every lock. Not safe concurrently with record().
-  void reset() noexcept;
-
- private:
-  struct Entry {
-    std::atomic<const void*> key{nullptr};
-    LatencyHistogram wait;
-    LatencyHistogram hold;
-  };
-
-  const Entry* find(const void* lock) const noexcept;
-  Entry* find_or_claim(const void* lock) noexcept;
-
-  Entry entries_[kEntries];
-  std::atomic<bool> enabled_;
-  std::atomic<std::uint64_t> dropped_{0};
-};
-
-// Global per-lock stats registry fed by TxLock (tests may construct their
-// own). Reads ADTM_LOCK_STATS once at first use.
-LockStatsRegistry& lock_stats() noexcept;
 
 }  // namespace adtm

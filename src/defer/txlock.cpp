@@ -2,11 +2,9 @@
 
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "common/stats.hpp"
 #include "common/thread_id.hpp"
-#include "common/timing.hpp"
 #include "common/tsan.hpp"
 #include "liveness/wait_graph.hpp"
 #include "obs/trace.hpp"
@@ -39,72 +37,8 @@ void TxLock::poison_orphan(const void* lock) {
   });
 }
 
-namespace {
-
-// Per-thread wait-timing shared by the opt-in lock-wait histogram and the
-// trace layer's LockPark/LockWake events: armed at the block site, sampled
-// by the first successful pass through the acquire or subscribe fast path
-// for the same lock. Re-executions in between keep the original start, so
-// the recorded wait spans the whole park.
-struct WaitTimer {
-  const void* lock = nullptr;
-  std::uint64_t since_ns = 0;
-};
-thread_local WaitTimer t_wait_timer;
-
-void arm_wait_timer(const void* lock) noexcept {
-  if (!lock_stats().enabled() && !obs::enabled()) return;
-  if (t_wait_timer.lock == lock) return;  // already timing this park
-  t_wait_timer = {lock, now_ns()};
-  obs::emit(obs::EventType::LockPark, obs::AbortCause::None, obs::kNoAlgo,
-            reinterpret_cast<std::uintptr_t>(lock));
-}
-
-void sample_wait_timer(const void* lock) noexcept {
-  if (t_wait_timer.lock != lock) return;
-  const std::uint64_t waited = now_ns() - t_wait_timer.since_ns;
-  if (lock_stats().enabled()) lock_stats().record_wait(lock, waited);
-  obs::emit(obs::EventType::LockWake, obs::AbortCause::None, obs::kNoAlgo,
-            waited);
-  t_wait_timer = {};
-}
-
-// Hold spans run from the acquire's commit to the final release's
-// commit. Both commits happen on the owning thread (TxLock forbids
-// handoff), so the start timestamps are thread-local — a shared
-// per-lock slot would race: the next owner's acquire on_commit can run
-// in the window between a release's commit and its on_commit, and the
-// old owner would consume the new owner's timestamp while the new
-// owner's release finds nothing.
-struct HoldStart {
-  const void* lock;
-  std::uint64_t since_ns;
-};
-thread_local std::vector<HoldStart> t_hold_starts;
-
-void hold_begin(const void* lock) {
-  t_hold_starts.push_back({lock, now_ns()});
-}
-
-void hold_end(const void* lock) noexcept {
-  // Newest-first: after an orphan break the same thread can re-acquire a
-  // lock whose earlier entry was never released; the newest one is the
-  // live hold.
-  for (auto it = t_hold_starts.rbegin(); it != t_hold_starts.rend(); ++it) {
-    if (it->lock == lock) {
-      if (lock_stats().enabled()) {
-        lock_stats().record_hold(lock, now_ns() - it->since_ns);
-      }
-      t_hold_starts.erase(std::next(it).base());
-      return;
-    }
-  }
-}
-
-}  // namespace
-
 void TxLock::block(stm::Tx& tx, Deadline deadline, const char* site) const {
-  arm_wait_timer(this);
+  obs::lock_wait_begin(this);
   liveness::publish_wait(this, &TxLock::owner_of, site,
                          liveness::WaitKind::Lock, &TxLock::orphan_of,
                          &TxLock::poison_orphan);
@@ -138,9 +72,9 @@ void TxLock::acquire(stm::Tx& tx, Deadline deadline) {
     owner_.set(tx, me);
     owner_gen_.set(tx, thread_id_generation());
     depth_.set(tx, 1);
-    if (lock_stats().enabled()) {
+    if (obs::enabled()) {
       // Hold time runs from the commit that makes the ownership real.
-      tx.on_commit([this] { hold_begin(this); });
+      tx.on_commit([this] { obs::lock_hold_begin(this); });
     }
   } else if (owner == me && owner_gen_.get(tx) == thread_id_generation()) {
     depth_.set(tx, depth_.get(tx) + 1);
@@ -167,7 +101,7 @@ void TxLock::acquire(stm::Tx& tx, Deadline deadline) {
   tx.on_abort([] { stm::detail::locker_exit(); });
   tx.on_commit([] { liveness::pinned_enter(); });
   ADTM_TSAN_ACQUIRE(this);
-  sample_wait_timer(this);  // a park that ended here ends its wait now
+  obs::lock_wait_end(this);  // a park that ended here ends its wait now
   stats().add(Counter::TxLockAcquires);
 }
 
@@ -230,8 +164,8 @@ void TxLock::release(stm::Tx& tx) {
     depth_.set(tx, 0);
     owner_.set(tx, kNoThread);
     owner_gen_.set(tx, 0);
-    if (lock_stats().enabled()) {
-      tx.on_commit([this] { hold_end(this); });
+    if (obs::enabled()) {
+      tx.on_commit([this] { obs::lock_hold_end(this); });
     }
     // Checked at the release call, not at commit: by commit time this
     // transaction's own epilogues are already draining (they run before
@@ -286,7 +220,7 @@ void TxLock::subscribe(stm::Tx& tx, Deadline deadline) const {
     }
   }
   ADTM_TSAN_ACQUIRE(this);
-  sample_wait_timer(this);
+  obs::lock_wait_end(this);
   stats().add(Counter::TxLockSubscribes);
 }
 

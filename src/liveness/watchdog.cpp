@@ -199,11 +199,20 @@ struct Watchdog::Impl {
     if (stalled) {
       const std::string graph = dump_wait_graph();
       if (!graph.empty()) out << "wait graph:\n" << graph;
-      const std::string locks = lock_stats().report();
-      if (!locks.empty()) out << "lock stats:\n" << locks;
-      // With tracing on, a stall diagnosis carries the events leading up
-      // to it — which transactions aborted (and why), who parked where.
+      // With tracing on, a stall diagnosis carries the per-lock wait and
+      // hold times and the events leading up to it — which transactions
+      // aborted (and why), who parked where.
       if (obs::enabled()) {
+        const obs::RunSummary sum = obs::summary();
+        if (!sum.locks.empty() || sum.locks_dropped != 0) {
+          out << "lock stats (" << sum.locks_dropped << " dropped):\n";
+        }
+        for (const obs::LockSummary& l : sum.locks) {
+          out << "lock " << l.lock << ": " << l.waits << " waits (p50 "
+              << l.wait_p50 / 1000 << " us, p99 " << l.wait_p99 / 1000
+              << " us), " << l.holds << " holds (p50 " << l.hold_p50 / 1000
+              << " us, p99 " << l.hold_p99 / 1000 << " us)\n";
+        }
         const std::string tail = obs::recent_tail(32);
         if (!tail.empty()) out << "recent trace events:\n" << tail;
       }

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <condition_variable>
 #include <mutex>
+#include <new>
 #include <thread>
 
 #include "common/runtime_config.hpp"
@@ -103,8 +104,10 @@ struct Ring {
   std::vector<TraceEvent> slots;
 };
 
-// Summary aggregates, updated directly at emit time (never through the
-// rings) so ring drops cannot skew the abort-cause breakdown.
+// One thread's run-summary aggregates, updated at emit time (never
+// through the ring) so ring drops cannot skew the abort-cause breakdown.
+// Written only by the thread that owns the block, so its cache lines are
+// never shared with another writer.
 struct Aggregates {
   struct PerAlgo {
     std::atomic<std::uint64_t> commits{0};
@@ -116,8 +119,48 @@ struct Aggregates {
   std::atomic<std::uint64_t> epilogues{0};
   LatencyHistogram epilogue;
 
+  void record(const TraceEvent& ev) noexcept {
+    switch (ev.type) {
+      case EventType::TxCommit:
+        if (ev.algo < kMaxAlgos) {
+          PerAlgo& a = algos[ev.algo];
+          a.commits.fetch_add(1, std::memory_order_relaxed);
+          a.tx.record(ev.arg0);
+          a.commit.record(ev.arg1);
+        }
+        break;
+      case EventType::TxAbort:
+        if (ev.algo < kMaxAlgos &&
+            static_cast<std::size_t>(ev.cause) < kCauseCount) {
+          algos[ev.algo].aborts[static_cast<std::size_t>(ev.cause)]
+              .fetch_add(1, std::memory_order_relaxed);
+        }
+        break;
+      case EventType::EpilogueEnd:
+        epilogues.fetch_add(1, std::memory_order_relaxed);
+        epilogue.record(ev.arg0);
+        break;
+      default:
+        break;
+    }
+  }
+
+  void add(const Aggregates& o) noexcept {
+    constexpr auto r = std::memory_order_relaxed;
+    for (std::size_t i = 0; i < kMaxAlgos; ++i) {
+      algos[i].commits.fetch_add(o.algos[i].commits.load(r), r);
+      for (std::size_t c = 0; c < kCauseCount; ++c) {
+        algos[i].aborts[c].fetch_add(o.algos[i].aborts[c].load(r), r);
+      }
+      algos[i].tx.merge(o.algos[i].tx);
+      algos[i].commit.merge(o.algos[i].commit);
+    }
+    epilogues.fetch_add(o.epilogues.load(r), r);
+    epilogue.merge(o.epilogue);
+  }
+
   void reset() noexcept {
-    for (auto& a : algos) {
+    for (PerAlgo& a : algos) {
       a.commits.store(0, std::memory_order_relaxed);
       for (auto& c : a.aborts) c.store(0, std::memory_order_relaxed);
       a.tx.reset();
@@ -128,10 +171,77 @@ struct Aggregates {
   }
 };
 
+// Everything one thread id records. Allocated at the id's first event and
+// never freed, so a thread that reuses an exited thread's id continues its
+// counts (the summary covers exited threads too).
+struct ThreadBlock {
+  explicit ThreadBlock(std::size_t ring_capacity) : ring(ring_capacity) {}
+  Ring ring;
+  Aggregates agg;
+};
+
+// Per-lock wait/hold histograms: a fixed claim-once table keyed by lock
+// address, shared by every thread (a lock's samples come from all of them).
+struct LockTable {
+  struct Entry {
+    std::atomic<const void*> key{nullptr};
+    LatencyHistogram wait;
+    LatencyHistogram hold;
+  };
+  Entry entries[kLockEntries];
+  std::atomic<std::uint64_t> dropped{0};
+
+  // `lock`'s entry, claimed at first use; nullptr (counted) once full.
+  Entry* find_or_claim(const void* lock) noexcept {
+    // Drop the alignment bits, hash, keep the top 8 bits: 256 slots.
+    static_assert(kLockEntries == 256);
+    const auto h = (reinterpret_cast<std::uintptr_t>(lock) >> 4) *
+                   0x9E3779B97F4A7C15ull;
+    const auto start = static_cast<std::size_t>(h >> 56);
+    for (std::size_t i = 0; i < kLockEntries; ++i) {
+      Entry& e = entries[(start + i) % kLockEntries];
+      const void* key = e.key.load(std::memory_order_acquire);
+      if (key == nullptr &&
+          e.key.compare_exchange_strong(key, lock, std::memory_order_acq_rel)) {
+        return &e;
+      }
+      if (key == lock) return &e;  // ours, or claimed for it by a racer
+    }
+    dropped.fetch_add(1, std::memory_order_relaxed);
+    return nullptr;
+  }
+
+  void summarize(RunSummary& out) const {
+    for (const Entry& e : entries) {
+      LockSummary l;
+      l.lock = e.key.load(std::memory_order_acquire);
+      l.waits = e.wait.count();
+      l.holds = e.hold.count();
+      if (l.lock == nullptr || (l.waits == 0 && l.holds == 0)) continue;
+      l.wait_p50 = e.wait.percentile(50);
+      l.wait_p99 = e.wait.percentile(99);
+      l.hold_p50 = e.hold.percentile(50);
+      l.hold_p99 = e.hold.percentile(99);
+      out.locks.push_back(l);
+    }
+    out.locks_dropped = dropped.load(std::memory_order_relaxed);
+  }
+
+  void reset() noexcept {
+    for (Entry& e : entries) {
+      e.key.store(nullptr, std::memory_order_relaxed);
+      e.wait.reset();
+      e.hold.reset();
+    }
+    dropped.store(0, std::memory_order_relaxed);
+  }
+};
+
 struct State {
-  std::mutex mutex;  // rings directory, collector lifecycle, collected buf
+  std::mutex mutex;  // block directory, collector lifecycle, collected buf
   std::condition_variable cv;
-  std::atomic<Ring*> rings[kMaxThreads] = {};
+  std::atomic<ThreadBlock*> blocks[kMaxThreads] = {};
+  std::atomic<std::uint64_t> alloc_dropped{0};  // events with no block
   std::size_t ring_capacity = 8192;
   std::size_t max_events = std::size_t{1} << 18;
   std::vector<TraceEvent> collected;
@@ -140,7 +250,7 @@ struct State {
   bool collector_running = false;
   bool stop_requested = false;
   bool exit_writer_registered = false;
-  Aggregates agg;
+  LockTable locks;
   // stats() totals snapshotted at enable()/clear(): the run summary
   // reports counter *deltas* for the traced window, not process totals.
   std::uint64_t counter_baseline[static_cast<std::size_t>(Counter::kCount)] =
@@ -163,21 +273,25 @@ void snapshot_counter_baseline(State& s) noexcept {
   }
 }
 
-Ring* allocate_ring(State& s, std::uint32_t tid) noexcept {
+ThreadBlock* allocate_block(State& s, std::uint32_t tid) noexcept {
   std::lock_guard<std::mutex> lk(s.mutex);
-  Ring* r = s.rings[tid].load(std::memory_order_acquire);
-  if (r != nullptr) return r;  // lost the race; reuse
-  r = new (std::nothrow) Ring(s.ring_capacity);
-  if (r == nullptr) return nullptr;
-  s.rings[tid].store(r, std::memory_order_release);
-  return r;
+  ThreadBlock* b = s.blocks[tid].load(std::memory_order_acquire);
+  if (b != nullptr) return b;  // lost the race; reuse
+  try {
+    b = new ThreadBlock(s.ring_capacity);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+  s.blocks[tid].store(b, std::memory_order_release);
+  return b;
 }
 
 // Caller holds s.mutex.
 void drain_locked(State& s) {
-  for (auto& slot : s.rings) {
-    Ring* r = slot.load(std::memory_order_acquire);
-    if (r == nullptr) continue;
+  for (auto& slot : s.blocks) {
+    ThreadBlock* b = slot.load(std::memory_order_acquire);
+    if (b == nullptr) continue;
+    Ring* r = &b->ring;
     const std::uint64_t h = r->head.load(std::memory_order_acquire);
     std::uint64_t t = r->tail.load(std::memory_order_relaxed);
     for (; t != h; ++t) {
@@ -199,33 +313,6 @@ void collector_loop(State& s) {
     drain_locked(s);
   }
   drain_locked(s);  // final sweep so disable() loses nothing
-}
-
-void record_aggregates(const TraceEvent& ev) noexcept {
-  Aggregates& agg = state().agg;
-  switch (ev.type) {
-    case EventType::TxCommit:
-      if (ev.algo < kMaxAlgos) {
-        auto& a = agg.algos[ev.algo];
-        a.commits.fetch_add(1, std::memory_order_relaxed);
-        a.tx.record(ev.arg0);
-        a.commit.record(ev.arg1);
-      }
-      break;
-    case EventType::TxAbort:
-      if (ev.algo < kMaxAlgos &&
-          static_cast<std::size_t>(ev.cause) < kCauseCount) {
-        agg.algos[ev.algo].aborts[static_cast<std::size_t>(ev.cause)]
-            .fetch_add(1, std::memory_order_relaxed);
-      }
-      break;
-    case EventType::EpilogueEnd:
-      agg.epilogues.fetch_add(1, std::memory_order_relaxed);
-      agg.epilogue.record(ev.arg0);
-      break;
-    default:
-      break;
-  }
 }
 
 void exit_writer() {
@@ -256,16 +343,72 @@ void emit_slow(EventType type, AbortCause cause, std::uint8_t algo,
   ev.cause = cause;
   ev.algo = algo;
   ev.reserved = 0;
-  record_aggregates(ev);
-  Ring* r = s.rings[ev.tid].load(std::memory_order_acquire);
-  if (r == nullptr) {
-    r = allocate_ring(s, ev.tid);
-    if (r == nullptr) return;  // allocation failed: drop silently-but-never-crash
+  ThreadBlock* b = s.blocks[ev.tid].load(std::memory_order_acquire);
+  if (b == nullptr) {
+    b = allocate_block(s, ev.tid);
+    if (b == nullptr) {
+      s.alloc_dropped.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
   }
-  r->push(ev);
+  b->agg.record(ev);
+  b->ring.push(ev);
+}
+
+thread_local constinit LockWait t_lock_wait;
+
+void lock_wait_begin_slow(const void* lock) noexcept {
+  // Re-executions after a wake-up keep the original start, so the
+  // recorded wait spans the whole park.
+  if (t_lock_wait.lock == lock) return;
+  t_lock_wait = {lock, now_ns()};
+  emit(EventType::LockPark, AbortCause::None, kNoAlgo,
+       reinterpret_cast<std::uintptr_t>(lock));
+}
+
+void lock_wait_end_slow(const void* lock) noexcept {
+  const std::uint64_t waited = now_ns() - t_lock_wait.since_ns;
+  t_lock_wait = {};
+  if (!enabled()) return;
+  if (auto* e = state().locks.find_or_claim(lock)) e->wait.record(waited);
+  emit(EventType::LockWake, AbortCause::None, kNoAlgo, waited);
 }
 
 }  // namespace detail
+
+namespace {
+
+// Hold starts are thread-local: both commits of a hold happen on the
+// owning thread (TxLock forbids hand-off). A shared per-lock slot would
+// race — the next owner's acquire hook can run between a release's
+// commit and its hook, and the old owner would consume the new owner's
+// start.
+struct HoldStart {
+  const void* lock;
+  std::uint64_t since_ns;
+};
+thread_local std::vector<HoldStart> t_hold_starts;
+
+}  // namespace
+
+void lock_hold_begin(const void* lock) {
+  t_hold_starts.push_back({lock, now_ns()});
+}
+
+void lock_hold_end(const void* lock) noexcept {
+  // Newest first: a hold whose release went unrecorded (the gate closed
+  // first, or the lock was destroyed while held) leaves an older entry
+  // for the same address; the newest one is the live hold.
+  for (auto it = t_hold_starts.rbegin(); it != t_hold_starts.rend(); ++it) {
+    if (it->lock == lock) {
+      if (auto* e = state().locks.find_or_claim(lock)) {
+        e->hold.record(now_ns() - it->since_ns);
+      }
+      t_hold_starts.erase(std::next(it).base());
+      return;
+    }
+  }
+}
 
 void enable() {
   State& s = state();
@@ -310,16 +453,18 @@ void disable() {
 void clear() {
   State& s = state();
   std::lock_guard<std::mutex> lk(s.mutex);
-  for (auto& slot : s.rings) {
-    Ring* r = slot.load(std::memory_order_acquire);
-    if (r == nullptr) continue;
-    r->tail.store(r->head.load(std::memory_order_acquire),
-                  std::memory_order_release);
-    r->dropped.store(0, std::memory_order_relaxed);
+  for (auto& slot : s.blocks) {
+    ThreadBlock* b = slot.load(std::memory_order_acquire);
+    if (b == nullptr) continue;
+    b->ring.tail.store(b->ring.head.load(std::memory_order_acquire),
+                       std::memory_order_release);
+    b->ring.dropped.store(0, std::memory_order_relaxed);
+    b->agg.reset();
   }
   s.collected.clear();
   s.overflow_dropped = 0;
-  s.agg.reset();
+  s.alloc_dropped.store(0, std::memory_order_relaxed);
+  s.locks.reset();
   snapshot_counter_baseline(s);
 }
 
@@ -338,10 +483,11 @@ std::size_t collected_count() {
 std::uint64_t dropped_count() {
   State& s = state();
   std::lock_guard<std::mutex> lk(s.mutex);
-  std::uint64_t n = s.overflow_dropped;
-  for (auto& slot : s.rings) {
-    Ring* r = slot.load(std::memory_order_acquire);
-    if (r != nullptr) n += r->dropped.load(std::memory_order_relaxed);
+  std::uint64_t n =
+      s.overflow_dropped + s.alloc_dropped.load(std::memory_order_relaxed);
+  for (auto& slot : s.blocks) {
+    ThreadBlock* b = slot.load(std::memory_order_acquire);
+    if (b != nullptr) n += b->ring.dropped.load(std::memory_order_relaxed);
   }
   return n;
 }
@@ -463,8 +609,16 @@ RunSummary summary() {
     }
   }
   out.dropped = dropped_count();
+  // Sum the per-thread blocks. Blocks are never freed, so reading them
+  // needs no lock; counts still being written are approximate.
+  Aggregates sum;
+  for (auto& slot : s.blocks) {
+    if (const ThreadBlock* b = slot.load(std::memory_order_acquire)) {
+      sum.add(b->agg);
+    }
+  }
   for (std::size_t i = 0; i < kMaxAlgos; ++i) {
-    const auto& a = s.agg.algos[i];
+    const Aggregates::PerAlgo& a = sum.algos[i];
     AlgoSummary algo;
     algo.algo = algo_label(static_cast<std::uint8_t>(i));
     algo.commits = a.commits.load(std::memory_order_relaxed);
@@ -479,16 +633,17 @@ RunSummary summary() {
     algo.commit_p99 = a.commit.percentile(99);
     out.algos.push_back(std::move(algo));
   }
-  out.epilogues = s.agg.epilogues.load(std::memory_order_relaxed);
-  out.epilogue_p50 = s.agg.epilogue.percentile(50);
-  out.epilogue_p99 = s.agg.epilogue.percentile(99);
+  out.epilogues = sum.epilogues.load(std::memory_order_relaxed);
+  out.epilogue_p50 = sum.epilogue.percentile(50);
+  out.epilogue_p99 = sum.epilogue.percentile(99);
+  s.locks.summarize(out);
   return out;
 }
 
 std::string summary_json() {
   const RunSummary sum = summary();
-  std::string out = "{\"schema\":\"adtm-obs-summary/v2\"";
-  char buf[160];
+  std::string out = "{\"schema\":\"adtm-obs-summary/v3\"";
+  char buf[256];  // fits the longest record: a lock entry, six 20-digit values
   std::snprintf(buf, sizeof buf,
                 ",\"events\":%" PRIu64 ",\"dropped\":%" PRIu64
                 ",\"epilogues\":{\"count\":%" PRIu64 ",\"p50_ns\":%" PRIu64
@@ -519,7 +674,22 @@ std::string summary_json() {
     }
     out += "}}";
   }
-  out += "},\"counters\":{";
+  std::snprintf(buf, sizeof buf, "},\"locks\":{\"dropped\":%" PRIu64
+                ",\"entries\":[",
+                sum.locks_dropped);
+  out += buf;
+  for (std::size_t i = 0; i < sum.locks.size(); ++i) {
+    const LockSummary& l = sum.locks[i];
+    std::snprintf(buf, sizeof buf,
+                  "%s{\"lock\":\"%p\",\"waits\":%" PRIu64
+                  ",\"wait_ns\":{\"p50\":%" PRIu64 ",\"p99\":%" PRIu64
+                  "},\"holds\":%" PRIu64 ",\"hold_ns\":{\"p50\":%" PRIu64
+                  ",\"p99\":%" PRIu64 "}}",
+                  i == 0 ? "" : ",", l.lock, l.waits, l.wait_p50, l.wait_p99,
+                  l.holds, l.hold_p50, l.hold_p99);
+    out += buf;
+  }
+  out += "]},\"counters\":{";
   bool first_counter = true;
   for (const auto& [name, delta] : sum.counters) {
     if (!first_counter) out += ",";

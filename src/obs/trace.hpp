@@ -1,4 +1,6 @@
-// Transaction tracing and abort taxonomy (the observability layer).
+// Transaction tracing, abort taxonomy and per-lock statistics (the
+// observability layer): every off-by-default diagnostic, behind the one
+// gate enabled(). stats() stays the always-on counter core.
 //
 // Always compiled, runtime gated: every instrumentation point in the
 // runtime is a single relaxed atomic load and a predicted-not-taken
@@ -8,19 +10,20 @@
 // Architecture:
 //  * emit() appends a fixed-size 32-byte TraceEvent to the calling
 //    thread's lock-free SPSC ring buffer (producer: the thread; consumer:
-//    the collector). A full ring drops the newest event and counts the
-//    drop — tracing never blocks or allocates on the hot path.
+//    the collector) and updates the thread's own summary aggregates. A
+//    full ring drops the newest event and counts the drop — tracing
+//    never blocks on the hot path.
 //  * A background collector drains the rings periodically (and on
 //    demand) into a bounded in-memory buffer; overflow there is likewise
 //    dropped and counted.
 //  * write_chrome_trace() renders the buffer as Chrome trace_event JSON
-//    (load in Perfetto / chrome://tracing); summary() aggregates the
-//    machine-readable run summary — per-algorithm abort-cause breakdown
-//    and commit-phase latency percentiles (common/stats LatencyHistogram).
-//  * The watchdog appends recent_tail() to stall reports, so a stall
-//    diagnosis comes with the events leading up to it.
+//    (load in Perfetto / chrome://tracing); summary() sums the per-thread
+//    aggregates and the per-lock table into the machine-readable run
+//    summary (common/stats LatencyHistogram percentiles).
+//  * The watchdog appends recent_tail() and the lock lines to stall
+//    reports, so a stall diagnosis comes with the events leading up to it.
 //
-// Knobs (see adtm::RuntimeConfig): ADTM_TRACE, ADTM_TRACE_RING,
+// Knobs (see adtm::RuntimeConfig): ADTM_TRACE (the gate), ADTM_TRACE_RING,
 // ADTM_TRACE_MAX_EVENTS, ADTM_TRACE_OUT.
 #pragma once
 
@@ -117,13 +120,57 @@ inline bool enabled() noexcept {
 }
 
 // Record one event. No-op (one load + branch) while disabled; never
-// blocks, throws, or allocates while enabled.
+// blocks or throws while enabled (a thread's first event allocates its
+// block; a failed allocation is a counted drop).
 inline void emit(EventType type, AbortCause cause = AbortCause::None,
                  std::uint8_t algo = kNoAlgo, std::uint64_t arg0 = 0,
                  std::uint32_t arg1 = 0) noexcept {
   if (!enabled()) return;
   detail::emit_slow(type, cause, algo, arg0, arg1);
 }
+
+// --- per-lock wait/hold statistics (fed by TxLock) -------------------------
+//
+// A wait runs from the first park on a lock to the acquire or subscribe
+// that passes it (re-executions keep the start); a hold, from the commit
+// that takes the lock to the commit that frees it. One claim-once table
+// of kLockEntries locks; samples of further locks are dropped, counted.
+
+inline constexpr std::size_t kLockEntries = 256;
+
+namespace detail {
+struct LockWait {
+  const void* lock = nullptr;
+  std::uint64_t since_ns = 0;
+};
+extern thread_local constinit LockWait t_lock_wait;  // the armed wait
+void lock_wait_begin_slow(const void* lock) noexcept;
+void lock_wait_end_slow(const void* lock) noexcept;
+}  // namespace detail
+
+// Block site: emits LockPark and starts timing, unless already timing.
+inline void lock_wait_begin(const void* lock) noexcept {
+  if (!enabled()) return;
+  detail::lock_wait_begin_slow(lock);
+}
+
+// Acquire/subscribe site: ends a wait timed on `lock`, emits LockWake.
+inline void lock_wait_end(const void* lock) noexcept {
+  if (detail::t_lock_wait.lock != lock) return;
+  detail::lock_wait_end_slow(lock);
+}
+
+// The outermost transaction ended: a wait it never ended (a deadline, a
+// cancel, a DeadlockError, a re-execution that left the lock alone) is
+// dropped, not charged to a later acquire.
+inline void lock_wait_abandon() noexcept {
+  if (detail::t_lock_wait.lock != nullptr) detail::t_lock_wait = {};
+}
+
+// Commit hooks of the acquire that takes `lock` and of the release that
+// frees it; registered only while enabled().
+void lock_hold_begin(const void* lock);
+void lock_hold_end(const void* lock) noexcept;
 
 // --- control ---------------------------------------------------------------
 
@@ -136,9 +183,10 @@ void enable();
 // collected are retained until clear(). Idempotent.
 void disable();
 
-// Drop every collected event, drop counter, and summary aggregate (the
-// per-thread rings are drained and discarded too). For test isolation and
-// phase boundaries; not safe concurrently with tracing threads.
+// Drop every collected event, drop counter, summary aggregate and lock
+// entry (the per-thread rings are drained and discarded too). For test
+// isolation and phase boundaries; not safe concurrently with tracing
+// threads.
 void clear();
 
 // Pull all per-thread rings into the collector's buffer now (also done
@@ -148,7 +196,8 @@ void drain();
 // Number of events currently held by the collector.
 std::size_t collected_count();
 
-// Events lost to full rings plus collector overflow since clear().
+// Events lost to full rings, collector overflow and failed thread-block
+// allocations since clear().
 std::uint64_t dropped_count();
 
 // --- rendering -------------------------------------------------------------
@@ -177,20 +226,29 @@ struct AlgoSummary {
   std::uint64_t commit_p50 = 0, commit_p99 = 0;  // commit phase only
 };
 
+struct LockSummary {
+  const void* lock = nullptr;        // the TxLock's address
+  std::uint64_t waits = 0, wait_p50 = 0, wait_p99 = 0;  // ns
+  std::uint64_t holds = 0, hold_p50 = 0, hold_p99 = 0;  // ns
+};
+
 struct RunSummary {
   std::vector<AlgoSummary> algos;    // only algorithms that ran
   std::uint64_t epilogues = 0;
   std::uint64_t epilogue_p50 = 0, epilogue_p99 = 0;
   std::uint64_t events = 0;          // collected
   std::uint64_t dropped = 0;
+  std::vector<LockSummary> locks;    // only locks with a sample
+  std::uint64_t locks_dropped = 0;   // samples of locks the table lacked
   // stats() counter deltas for the traced window: total(c) minus the
   // baseline snapshotted at enable() (off->on) and clear(). One entry per
   // Counter, in declaration order, named by counter_name().
   std::vector<std::pair<std::string, std::uint64_t>> counters;
 };
 
-// Aggregate of everything recorded since clear() (independent of the
-// ring/collector path, so drops never skew the breakdown).
+// Sum of everything recorded since clear() (independent of the
+// ring/collector path, so ring drops never skew the breakdown). Safe
+// while threads record.
 RunSummary summary();
 
 // The summary as machine-readable JSON (the BENCH_*-style run record).

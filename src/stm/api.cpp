@@ -592,11 +592,13 @@ void run_atomic_nested(FunctionRef<void(Tx&)> body) {
 namespace {
 // Outermost-transaction scope guard: however atomic() exits (commit,
 // cancel, RetryTimeout, DeadlockError, a user exception), the thread is
-// marked Idle again and any wait-graph edge published at a block site is
-// retracted, so the watchdog and deadlock detector never see stale state.
+// marked Idle again, any wait-graph edge published at a block site is
+// retracted and any lock wait still timed is dropped, so the watchdog,
+// the deadlock detector and the lock stats never see stale state.
 struct ActivityScope {
   ~ActivityScope() {
     if (liveness::has_wait_edge()) liveness::clear_wait();
+    obs::lock_wait_abandon();
     liveness::set_state(liveness::ThreadState::Idle, now_ns());
   }
 };

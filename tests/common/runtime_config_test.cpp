@@ -26,7 +26,6 @@ TEST_F(RuntimeConfigTest, EnvResolutionHasDocumentedDefaults) {
   // The suite runs without ADTM_* set, so from-env equals the defaults.
   const RuntimeConfig cfg = runtime_config_from_env();
   EXPECT_EQ(cfg.starvation_threshold, 64u);
-  EXPECT_FALSE(cfg.lock_stats);
   EXPECT_EQ(cfg.stall_budget_ms, 2000u);
   EXPECT_EQ(cfg.watchdog_interval_ms, 200u);
   EXPECT_EQ(cfg.watchdog_action, "report");
@@ -47,16 +46,6 @@ TEST_F(RuntimeConfigTest, ConfigureReplacesTheProcessSnapshot) {
   // Consumers that resolve through the snapshot see the override.
   EXPECT_EQ(stm::Config::default_starvation_threshold(), 7u);
   EXPECT_EQ(stm::Config{}.starvation_threshold, 7u);
-}
-
-TEST_F(RuntimeConfigTest, ConfigureGatesLockStats) {
-  RuntimeConfig cfg = runtime_config();
-  cfg.lock_stats = true;
-  configure(cfg);
-  EXPECT_TRUE(lock_stats().enabled());
-  cfg.lock_stats = false;
-  configure(cfg);
-  EXPECT_FALSE(lock_stats().enabled());
 }
 
 TEST_F(RuntimeConfigTest, ConfigureGatesTracing) {

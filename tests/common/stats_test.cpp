@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -99,55 +98,25 @@ TEST(LatencyHistogram, PercentilesWalkTheDistribution) {
   EXPECT_EQ(h.percentile(99), 0u);
 }
 
-TEST(LockStats, DisabledByDefaultAndCheap) {
-  LockStatsRegistry reg;
-  int key;
-  EXPECT_FALSE(reg.enabled());  // ADTM_LOCK_STATS unset in tests
-  reg.record_wait(&key, 1'000);
-  reg.record_hold(&key, 1'000);
-  EXPECT_EQ(reg.wait_count(&key), 0u);
-  EXPECT_EQ(reg.hold_count(&key), 0u);
-  EXPECT_EQ(reg.report(), "");
-}
-
-TEST(LockStats, TracksPerLockWaitAndHold) {
-  LockStatsRegistry reg;
-  reg.set_enabled(true);
-  int a, b;
-  for (int i = 0; i < 10; ++i) reg.record_wait(&a, 2'000);
-  reg.record_wait(&a, 8'000'000);
-  reg.record_hold(&a, 500'000);
-  reg.record_hold(&b, 1'000);
-  EXPECT_EQ(reg.wait_count(&a), 11u);
-  EXPECT_EQ(reg.hold_count(&a), 1u);
-  EXPECT_EQ(reg.wait_count(&b), 0u);
-  EXPECT_EQ(reg.hold_count(&b), 1u);
-  EXPECT_EQ(reg.wait_percentile(&a, 50),
-            LatencyHistogram::bucket_value(LatencyHistogram::bucket_of(2'000)));
-  EXPECT_EQ(reg.wait_percentile(&a, 100),
-            LatencyHistogram::bucket_value(
-                LatencyHistogram::bucket_of(8'000'000)));
-  const std::string r = reg.report();
-  EXPECT_NE(r.find("p50"), std::string::npos) << r;
-  EXPECT_NE(r.find("p99"), std::string::npos) << r;
-  reg.reset();
-  EXPECT_EQ(reg.wait_count(&a), 0u);
-  EXPECT_EQ(reg.report(), "");
-}
-
-TEST(LockStats, FullTableCountsDrops) {
-  LockStatsRegistry reg;
-  reg.set_enabled(true);
-  // Distinct heap pointers until the 256-entry table is guaranteed full,
-  // then one more lock must be dropped (counted, not silently merged).
-  std::vector<std::unique_ptr<int>> locks;
-  for (std::size_t i = 0; i < LockStatsRegistry::kEntries * 4; ++i) {
-    locks.push_back(std::make_unique<int>(0));
-    reg.record_wait(locks.back().get(), 1'000);
+TEST(LatencyHistogram, MergedHistogramsGiveOneDistribution) {
+  // Per-thread histograms summed by merge() give the same distribution as
+  // one histogram fed every sample.
+  LatencyHistogram a, b, all, sum;
+  for (int i = 0; i < 90; ++i) {
+    a.record(1'000);
+    all.record(1'000);
   }
-  EXPECT_GT(reg.dropped(), 0u);
-  const std::string r = reg.report();
-  EXPECT_NE(r.find("dropped"), std::string::npos) << r;
+  for (int i = 0; i < 10; ++i) {
+    b.record(1'000'000);
+    all.record(1'000'000);
+  }
+  sum.merge(a);
+  sum.merge(b);
+  EXPECT_EQ(sum.count(), 100u);
+  for (const double p : {50.0, 90.0, 91.0, 99.0, 100.0}) {
+    EXPECT_EQ(sum.percentile(p), all.percentile(p)) << "p" << p;
+  }
+  EXPECT_EQ(a.count(), 90u);  // merge reads its source, never drains it
 }
 
 }  // namespace

@@ -10,9 +10,11 @@
 #include <thread>
 #include <vector>
 
-#include "common/stats.hpp"
+#include "common/deadline.hpp"
+#include "obs/trace.hpp"
 #include "stm/api.hpp"
 #include "support/algo_param.hpp"
+#include "support/json.hpp"
 
 namespace adtm {
 namespace {
@@ -167,24 +169,48 @@ TEST_P(TxLockTest, AcquireInsideTransactionCommitsWithIt) {
   lock.release();
 }
 
+// Lock stats are fed under the trace gate. Opens it (with every buffer
+// empty) for one test and leaves it closed and empty however the test ends.
+struct TracedScope {
+  TracedScope() {
+    obs::clear();
+    obs::enable();
+  }
+  ~TracedScope() {
+    obs::disable();
+    obs::clear();
+  }
+  TracedScope(const TracedScope&) = delete;
+  TracedScope& operator=(const TracedScope&) = delete;
+};
+
+// The summary's entry for `lock`; all zeros when it has none.
+obs::LockSummary lock_summary(const TxLock& lock) {
+  for (const obs::LockSummary& l : obs::summary().locks) {
+    if (l.lock == &lock) return l;
+  }
+  return {};
+}
+
 TEST_P(TxLockTest, LockStatsRecordNothingWhileDisabled) {
-  ASSERT_FALSE(lock_stats().enabled());  // ADTM_LOCK_STATS unset in tests
+  ASSERT_FALSE(obs::enabled());  // ADTM_TRACE unset in tests
   TxLock lock;
   lock.acquire();
   lock.release();
-  EXPECT_EQ(lock_stats().wait_count(&lock), 0u);
-  EXPECT_EQ(lock_stats().hold_count(&lock), 0u);
+  const obs::LockSummary l = lock_summary(lock);
+  EXPECT_EQ(l.waits, 0u);
+  EXPECT_EQ(l.holds, 0u);
 }
 
 TEST_P(TxLockTest, LockStatsRecordContendedWaitAndHold) {
-  lock_stats().set_enabled(true);
+  TracedScope traced;
   // On a loaded single-core host the contender can be descheduled past
   // the owner's entire hold, shrinking (or skipping) its park — so a
   // single run cannot assert an absolute wait duration. Retry the
   // scenario until one park spans most of the 5 ms hold.
   bool sampled = false;
   for (int attempt = 0; attempt < 20 && !sampled; ++attempt) {
-    lock_stats().reset();
+    obs::clear();
     TxLock lock;
     std::atomic<bool> held{false};
     std::atomic<bool> contender_ready{false};
@@ -202,17 +228,45 @@ TEST_P(TxLockTest, LockStatsRecordContendedWaitAndHold) {
     lock.release();  // depth hits zero: one hold sample
     owner.join();
     // Two committed holds (owner's and ours), every attempt.
-    ASSERT_EQ(lock_stats().hold_count(&lock), 2u);
-    sampled = lock_stats().wait_count(&lock) >= 1u &&
-              lock_stats().wait_percentile(&lock, 99) >= 1'000'000u;
-    if (sampled) {
-      const std::string report = lock_stats().report();
-      EXPECT_NE(report.find("waits"), std::string::npos) << report;
-    }
+    const obs::LockSummary l = lock_summary(lock);
+    ASSERT_EQ(l.holds, 2u);
+    sampled = l.waits >= 1u && l.wait_p99 >= 1'000'000u;
   }
-  lock_stats().set_enabled(false);
-  lock_stats().reset();
   EXPECT_TRUE(sampled) << "no contended wait spanned >=1ms in 20 tries";
+}
+
+TEST_P(TxLockTest, LockStatsDropAWaitThatEndedWithoutTheLock) {
+  // A park that ends without the lock (here: the deadline expires) must
+  // not leave its wait timed: a later uncontended acquire would record
+  // the whole gap as a wait and emit a lock-wait event that long.
+  TracedScope traced;
+  TxLock lock;
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  std::thread owner([&] {
+    lock.acquire();
+    held.store(true);
+    while (!release.load()) std::this_thread::yield();
+    lock.release();
+  });
+  while (!held.load()) std::this_thread::yield();
+  EXPECT_FALSE(lock.acquire(Deadline::in(std::chrono::milliseconds(5))));
+  release.store(true);
+  owner.join();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  lock.acquire();  // uncontended: nothing to wait for
+  lock.release();
+  obs::disable();
+
+  const obs::LockSummary l = lock_summary(lock);
+  EXPECT_EQ(l.waits, 0u) << "p99 " << l.wait_p99 << " ns";
+  EXPECT_EQ(l.holds, 2u);
+  const test::Json trace = test::json_parse(obs::chrome_trace_json());
+  for (const test::Json& e : trace.at("traceEvents").array) {
+    if (e.at("name").str != "lock-wait") continue;
+    EXPECT_LT(e.at("dur").number, 50'000.0) << "a lock-wait event spans "
+                                            << e.at("dur").number << " us";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgos, TxLockTest, test::AllAlgos(),

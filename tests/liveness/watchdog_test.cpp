@@ -12,6 +12,7 @@
 #include "common/stats.hpp"
 #include "defer/txlock.hpp"
 #include "liveness/wait_graph.hpp"
+#include "obs/trace.hpp"
 #include "stm/api.hpp"
 
 namespace adtm {
@@ -76,6 +77,42 @@ TEST(Watchdog, ScanNamesParkedWaiterAndStalledLock) {
   EXPECT_TRUE(waiter_done.load());
   // With everyone unblocked the same scan goes quiet again.
   EXPECT_EQ(wd.scan_once(), "");
+}
+
+TEST(Watchdog, TracedStallReportCarriesLockStatsAndEvents) {
+  stm::init(stm::Config{});
+  obs::clear();
+  obs::enable();
+  TxLock lock;
+  lock.acquire();  // one finished hold: the lock has a stats line
+  lock.release();
+  std::atomic<bool> held{false};
+  std::atomic<bool> go_release{false};
+  std::thread holder([&] {
+    lock.acquire();
+    held.store(true);
+    while (!go_release.load()) std::this_thread::yield();
+    lock.release();
+  });
+  while (!held.load()) std::this_thread::yield();
+  std::thread waiter([&] {
+    lock.acquire();
+    lock.release();
+  });
+  std::this_thread::sleep_for(100ms);  // waiter parks well past the budget
+  liveness::Watchdog wd;
+  wd.configure(tight_options());
+  const std::string report = wd.scan_once();
+  go_release.store(true);
+  holder.join();
+  waiter.join();
+  obs::disable();
+  obs::clear();
+  EXPECT_NE(report.find("lock stats (0 dropped):"), std::string::npos)
+      << report;
+  EXPECT_NE(report.find(": 0 waits"), std::string::npos) << report;
+  EXPECT_NE(report.find(" 1 holds"), std::string::npos) << report;
+  EXPECT_NE(report.find("lock-park"), std::string::npos) << report;
 }
 
 TEST(Watchdog, BackgroundThreadReportsThroughSink) {

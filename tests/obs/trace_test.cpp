@@ -4,14 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "common/runtime_config.hpp"
 #include "common/stats.hpp"
+#include "defer/txlock.hpp"
 #include "stm/api.hpp"
 #include "stm/tvar.hpp"
 #include "support/json.hpp"
@@ -162,7 +165,7 @@ TEST_F(ObsTraceTest, SummaryJsonIsSchemaValid) {
   }
   obs::disable();
   const test::Json doc = test::json_parse(obs::summary_json());
-  EXPECT_EQ(doc.at("schema").str, "adtm-obs-summary/v2");
+  EXPECT_EQ(doc.at("schema").str, "adtm-obs-summary/v3");
   ASSERT_TRUE(doc.at("algos").is_object());
   const test::Json& tl2 = doc.at("algos").at("TL2");
   EXPECT_GE(tl2.at("commits").number, 50.0);
@@ -178,6 +181,69 @@ TEST_F(ObsTraceTest, SummaryJsonIsSchemaValid) {
   EXPECT_GE(doc.at("counters").at("tx_commit").number, 50.0);
   EXPECT_TRUE(doc.at("counters").has("deferred_ops"));
   EXPECT_TRUE(doc.at("counters").has("faults_injected"));
+  // One traced acquire/release: one lock entry with one hold.
+  ASSERT_TRUE(doc.at("locks").is_object());
+  EXPECT_EQ(doc.at("locks").at("dropped").number, 0.0);
+  EXPECT_TRUE(doc.at("locks").at("entries").array.empty());
+  obs::enable();
+  TxLock lock;
+  lock.acquire();
+  lock.release();
+  obs::disable();
+  const test::Json after = test::json_parse(obs::summary_json());
+  const auto& entries = after.at("locks").at("entries").array;
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].at("holds").number, 1.0);
+  EXPECT_EQ(entries[0].at("waits").number, 0.0);
+  EXPECT_TRUE(entries[0].at("hold_ns").at("p99").is_number());
+}
+
+TEST_F(ObsTraceTest, SummaryIsExactAcrossThreadIdReuse) {
+  // Each thread's aggregates live in its own block; summary() sums the
+  // blocks. Three waves of threads reuse the same thread ids, and a
+  // reader sums throughout: no count may be lost or go backwards.
+  obs::enable();
+  constexpr int kWaves = 3;
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kTx = 300;
+  auto tl2 = [](const obs::RunSummary& s) {
+    for (const obs::AlgoSummary& a : s.algos) {
+      if (a.algo == "TL2") return a.commits;
+    }
+    return std::uint64_t{0};
+  };
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    std::uint64_t last_commits = 0, last_epilogues = 0;
+    while (!done.load()) {
+      const obs::RunSummary s = obs::summary();
+      EXPECT_GE(tl2(s), last_commits);
+      EXPECT_GE(s.epilogues, last_epilogues);
+      last_commits = tl2(s);
+      last_epilogues = s.epilogues;
+    }
+  });
+  for (int wave = 0; wave < kWaves; ++wave) {
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([] {
+        stm::tvar<std::uint64_t> mine{0};
+        for (std::uint64_t i = 0; i < kTx; ++i) {
+          stm::atomic([&](stm::Tx& tx) {
+            mine.set(tx, mine.get(tx) + 1);
+            tx.on_commit([] {});
+          });
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+  }
+  done.store(true);
+  reader.join();
+  obs::disable();
+  const obs::RunSummary s = obs::summary();
+  EXPECT_EQ(tl2(s), kWaves * kThreads * kTx);
+  EXPECT_EQ(s.epilogues, kWaves * kThreads * kTx);
 }
 
 TEST_F(ObsTraceTest, SummaryCountersAreWindowDeltas) {
@@ -231,14 +297,30 @@ TEST_F(ObsTraceTest, ClearResetsEverything) {
   obs::enable();
   stm::tvar<int> x{0};
   stm::atomic([&](stm::Tx& tx) { x.set(tx, 1); });
+  TxLock lock;
+  lock.acquire();
+  lock.release();
+  // A full lock table: some locks are dropped.
+  std::vector<std::unique_ptr<int>> more(obs::kLockEntries + 1);
+  for (auto& p : more) {
+    p = std::make_unique<int>(0);
+    obs::lock_hold_begin(p.get());
+    obs::lock_hold_end(p.get());
+  }
   obs::disable();
   obs::drain();
   EXPECT_GT(obs::collected_count(), 0u);
+  EXPECT_GT(obs::summary().epilogues, 0u);
+  EXPECT_FALSE(obs::summary().locks.empty());
+  EXPECT_GT(obs::summary().locks_dropped, 0u);
   obs::clear();
   EXPECT_EQ(obs::collected_count(), 0u);
   EXPECT_EQ(obs::dropped_count(), 0u);
   EXPECT_EQ(obs::summary().events, 0u);
   EXPECT_TRUE(obs::summary().algos.empty());
+  EXPECT_EQ(obs::summary().epilogues, 0u);
+  EXPECT_TRUE(obs::summary().locks.empty());
+  EXPECT_EQ(obs::summary().locks_dropped, 0u);
 }
 
 }  // namespace

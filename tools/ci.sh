@@ -92,6 +92,9 @@ ctest --preset tsan-sanitize -j "$JOBS"
 stage "tsan: overload-control stress suite (health)"
 ctest --preset overload -j "$JOBS"
 
+stage "tsan: obs suite (per-thread summary, per-lock stats)"
+ctest --preset tsan-obs -j "$JOBS"
+
 stage "asan build (-fsanitize=address, -Werror=deprecated-declarations)"
 cmake --preset asan >/dev/null
 cmake --build --preset asan -j "$JOBS"
