@@ -14,9 +14,9 @@ void atomic_defer(stm::Tx& tx, std::function<void()> op,
   // Acquire the implicit lock of every object the operation may touch, as
   // part of the enclosing transaction (Listing 1's atomic_defer uses a
   // nested transaction, which flattens into the parent — so the lock
-  // writes commit atomically with the parent, and if any lock is held by
-  // another thread the whole parent retries, making multi-lock acquisition
-  // deadlock-free).
+  // writes commit atomically with the parent, and if a lock is held by
+  // another thread once this parent has acquired one, the whole parent
+  // aborts and retries, making multi-lock acquisition deadlock-free).
   for (const Deferrable* o : objs) {
     o->txlock().acquire(tx);
   }

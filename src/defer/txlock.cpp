@@ -10,6 +10,7 @@
 #include "obs/trace.hpp"
 #include "stm/api.hpp"
 #include "stm/registry.hpp"
+#include "stm/runtime.hpp"
 #include "tmsan/tmsan.hpp"
 
 namespace adtm {
@@ -37,60 +38,69 @@ void TxLock::poison_orphan(const void* lock) {
   });
 }
 
-void TxLock::block(stm::Tx& tx, Deadline deadline, const char* site) const {
+void TxLock::block(stm::Tx& tx, const stm::detail::LockWait& wait,
+                   Deadline deadline, const char* site) const {
   obs::lock_wait_begin(this);
   liveness::publish_wait(this, &TxLock::owner_of, site,
                          liveness::WaitKind::Lock, &TxLock::orphan_of,
                          &TxLock::poison_orphan);
   // Deadlock scan, gated twice. pinned_holds() > 0: hold-and-wait needs a
   // committed hold an abort cannot revoke. locker_depth() == pinned_holds():
-  // no *in-attempt* holds — under eager algorithms an in-attempt ownership
-  // write is visible in memory, so a cycle through it would be broken by
-  // this very retry and must not be reported. The purely transactional
-  // multi-lock path always has locker_depth > pinned here and relies on
-  // retry-releases-everything (asserted at the park site); the
-  // non-transactional acquire()/TxLockGuard path blocks before any write
-  // and is scanned. Cycles this scan races past are caught by the parked
-  // waiter's own re-scan in wait_for_change.
+  // no *in-attempt* holds — an attempt that acquired a TxLock never parks
+  // in place, it aborts (which revokes that hold) and waits outside the
+  // transaction, so a cycle through an in-attempt hold is broken by this
+  // very wait and must not be reported. That covers the purely
+  // transactional multi-lock path, which relies on abort-releases-
+  // everything (asserted at the park site). A waiter with only committed
+  // holds (the non-transactional acquire()/TxLockGuard path, or a park in
+  // place) holds them while it waits, and is scanned. Cycles this scan
+  // races past are caught by the parked waiter's own re-scan.
   if (liveness::pinned_holds() > 0 &&
       stm::detail::locker_depth() == liveness::pinned_holds()) {
     liveness::deadlock_check();
   }
-  stm::retry(tx, deadline);
+  wait.park(tx, deadline);
 }
 
 void TxLock::acquire(stm::Tx& tx, Deadline deadline) {
   const std::uint32_t me = thread_id();
-  if (poisoned_.get(tx) != 0) {
-    throw TxLockPoisoned(
-        "TxLock::acquire: lock is poisoned (a failed operation may have "
-        "left the data it protects inconsistent; clear_poison() after "
-        "recovery)");
-  }
-  const std::uint32_t owner = owner_.get(tx);
-  if (owner == kNoThread) {
-    owner_.set(tx, me);
-    owner_gen_.set(tx, thread_id_generation());
-    depth_.set(tx, 1);
-    if (obs::enabled()) {
-      // Hold time runs from the commit that makes the ownership real.
-      tx.on_commit([this] { obs::lock_hold_begin(this); });
+  const stm::detail::LockWait wait(tx);
+  for (;;) {
+    if (poisoned_.get(tx) != 0) {
+      throw TxLockPoisoned(
+          "TxLock::acquire: lock is poisoned (a failed operation may have "
+          "left the data it protects inconsistent; clear_poison() after "
+          "recovery)");
     }
-  } else if (owner == me && owner_gen_.get(tx) == thread_id_generation()) {
-    depth_.set(tx, depth_.get(tx) + 1);
-  } else if (!thread_incarnation_live(owner, owner_gen_.get(tx))) {
-    // Covers a dead former owner whose slot id this thread now reuses:
-    // that is not reentrancy, the previous incarnation never released.
-    throw TxLockOrphaned(
-        "TxLock::acquire: owner thread exited while holding the lock "
-        "(break_orphaned() to recover)");
-  } else {
-    // Held by another live thread: wait via retry. The enclosing
-    // transaction aborts (discarding any locks acquired so far in it,
-    // which is what makes multi-lock acquisition deadlock-free) and
-    // re-executes once the lock metadata changes, the deadline passes, or
-    // a thread exits (so the orphan check above re-runs).
-    block(tx, deadline, "TxLock::acquire");
+    const std::uint32_t owner = owner_.get(tx);
+    if (owner == kNoThread) {
+      owner_.set(tx, me);
+      owner_gen_.set(tx, thread_id_generation());
+      depth_.set(tx, 1);
+      if (obs::enabled()) {
+        // Hold time runs from the commit that makes the ownership real.
+        tx.on_commit([this] { obs::lock_hold_begin(this); });
+      }
+      break;
+    }
+    if (owner == me && owner_gen_.get(tx) == thread_id_generation()) {
+      depth_.set(tx, depth_.get(tx) + 1);
+      break;
+    }
+    if (!thread_incarnation_live(owner, owner_gen_.get(tx))) {
+      // Covers a dead former owner whose slot id this thread now reuses:
+      // that is not reentrancy, the previous incarnation never released.
+      throw TxLockOrphaned(
+          "TxLock::acquire: owner thread exited while holding the lock "
+          "(break_orphaned() to recover)");
+    }
+    // Held by another live thread: wait for the lock metadata to change,
+    // the deadline to pass, or a thread to exit (so the orphan check
+    // above runs again), then look again. An attempt with nothing visible
+    // to other threads waits in place; one that already acquired a TxLock
+    // aborts instead, discarding the locks acquired so far in it, which
+    // is what keeps multi-lock acquisition deadlock-free.
+    block(tx, wait, deadline, "TxLock::acquire");
   }
   // The hold can outlive this transaction (deferred operations release
   // after commit), so register it with the serial gate's locker accounting
@@ -199,25 +209,24 @@ void TxLock::release() {
 }
 
 void TxLock::subscribe(stm::Tx& tx, Deadline deadline) const {
-  if (poisoned_.get(tx) != 0) {
-    throw TxLockPoisoned(
-        "TxLock::subscribe: lock is poisoned (a failed operation may have "
-        "left the data it protects inconsistent; clear_poison() after "
-        "recovery)");
-  }
-  const std::uint32_t owner = owner_.get(tx);
-  if (owner != kNoThread) {
-    const std::uint32_t gen = owner_gen_.get(tx);
-    const bool mine =
-        owner == thread_id() && gen == thread_id_generation();
-    if (!mine) {
-      if (!thread_incarnation_live(owner, gen)) {
-        throw TxLockOrphaned(
-            "TxLock::subscribe: owner thread exited while holding the "
-            "lock (break_orphaned() to recover)");
-      }
-      block(tx, deadline, "TxLock::subscribe");
+  const stm::detail::LockWait wait(tx);
+  for (;;) {
+    if (poisoned_.get(tx) != 0) {
+      throw TxLockPoisoned(
+          "TxLock::subscribe: lock is poisoned (a failed operation may "
+          "have left the data it protects inconsistent; clear_poison() "
+          "after recovery)");
     }
+    const std::uint32_t owner = owner_.get(tx);
+    if (owner == kNoThread) break;
+    const std::uint32_t gen = owner_gen_.get(tx);
+    if (owner == thread_id() && gen == thread_id_generation()) break;
+    if (!thread_incarnation_live(owner, gen)) {
+      throw TxLockOrphaned(
+          "TxLock::subscribe: owner thread exited while holding the "
+          "lock (break_orphaned() to recover)");
+    }
+    block(tx, wait, deadline, "TxLock::subscribe");
   }
   ADTM_TSAN_ACQUIRE(this);
   obs::lock_wait_end(this);

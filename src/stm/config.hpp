@@ -43,6 +43,9 @@ struct Config {
   // re-execute with randomized backoff — the paper's own workaround
   // implementation (§4.2), whose cost it measures in Figure 2 ("aborting
   // and immediately retrying, instead of de-scheduling the transaction").
+  // With it on, a TxLock waiter whose attempt has nothing visible to
+  // other threads waits in place instead of aborting (stm/runtime.hpp,
+  // LockWait); with it off, every TxLock wait aborts and re-executes.
   bool retry_wait = true;
 
   // Starvation arbitration (liveness layer): a thread whose conflict-abort

@@ -18,6 +18,7 @@ struct BackendSpi;
 
 namespace detail {
 struct Driver;
+class LockWait;
 }
 
 class Tx {
@@ -66,6 +67,7 @@ class Tx {
 
  private:
   friend struct detail::Driver;
+  friend class detail::LockWait;  // marks the read logs at a TxLock call
   // Extension backends (stm/backends/*) reach Tx internals through the
   // BackendSpi accessor struct instead of each being a friend.
   friend struct BackendSpi;

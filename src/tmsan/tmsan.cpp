@@ -422,6 +422,8 @@ void tx_alloc_slow(const void* base, std::size_t bytes) noexcept {
   if (t_tx.in_tx) t_tx.allocs.push_back({base, bytes});
 }
 
+std::size_t tx_read_mark_slow() noexcept { return t_tx.reads.size(); }
+
 }  // namespace detail
 
 // --- lifecycle -------------------------------------------------------------
@@ -483,6 +485,16 @@ void on_tx_abort() noexcept {
 }
 
 void on_nested_abort() noexcept { t_tx.opacity_skip = true; }
+
+void on_tx_resume(std::size_t mark) noexcept {
+  if (!t_tx.in_tx) return;
+  if (mark > t_tx.reads.size()) {
+    t_tx.opacity_skip = true;
+  } else {
+    t_tx.reads.resize(mark);
+  }
+  t_tx.raw_seq_at_begin = state().raw_seq.load(std::memory_order_acquire);
+}
 
 // --- deferral contract -----------------------------------------------------
 

@@ -80,6 +80,7 @@ void raw_access_slow(const void* addr, bool is_write) noexcept;
 void tx_alloc_slow(const void* base, std::size_t bytes) noexcept;
 void tx_access_slow(const void* addr, std::uint64_t value,
                     bool is_write) noexcept;
+std::size_t tx_read_mark_slow() noexcept;
 }  // namespace detail
 
 // The runtime gate every barrier hook tests first. Relaxed: arming the
@@ -170,6 +171,20 @@ void on_tx_abort() noexcept;
 // longer match what will commit — skip its opacity bookkeeping entirely
 // (never report from partial data).
 void on_nested_abort() noexcept;
+
+// A TxLock waiter parked in place resumes its attempt instead of
+// re-executing it. tx_read_mark() is taken before the lock call reads the
+// lock; on_tx_resume(mark) drops the reads logged since, which the
+// attempt makes again at its fresh snapshot. The reads before the mark
+// stay checked. Raw accesses made while the attempt was parked are
+// ordered before it by then (it re-validated), so they no longer count
+// as concurrent with it. A mark taken while the sanitizer was off skips
+// the attempt's opacity check (never report from partial data).
+inline constexpr std::size_t kNoReadMark = ~std::size_t{0};
+inline std::size_t tx_read_mark() noexcept {
+  return active() ? detail::tx_read_mark_slow() : kNoReadMark;
+}
+void on_tx_resume(std::size_t mark) noexcept;
 
 // Deferral contract. A registering transaction calls on_defer_registered
 // inside the transaction (after acquiring the locks) and pairs it with

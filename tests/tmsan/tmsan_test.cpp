@@ -272,6 +272,48 @@ TEST_F(TmsanTest, OpacityAcceptsConsistentSnapshots) {
   EXPECT_EQ(tmsan::violation_count(), 0u) << tmsan::report();
 }
 
+TEST_F(TmsanTest, ResumeDropsOnlyTheReadsAfterItsMark) {
+  // A TxLock waiter parked in place drops the lock reads it made since
+  // the mark and reads again at a fresh snapshot. The reads before the
+  // mark stay in the log: the drop must not blind the checker to them.
+  tmsan::enable(tmsan::kCheckOpacity);
+  std::uint64_t a = 0, b = 0, lock = 0;
+  tmsan::on_tx_begin(false);
+  tmsan::on_tx_write(&a, 1);
+  tmsan::on_tx_write(&b, 1);
+  tmsan::on_tx_write(&lock, 7);
+  tmsan::on_tx_commit(10);
+  tmsan::on_tx_begin(false);
+  tmsan::on_tx_write(&a, 2);
+  tmsan::on_tx_write(&b, 2);
+  tmsan::on_tx_write(&lock, 0);
+  tmsan::on_tx_commit(20);
+
+  // Dropped: the read of the held lock (7, before writer 2) would clash
+  // with the reads after the resume (after writer 2). Clean.
+  tmsan::on_tx_begin(false);
+  std::size_t mark = tmsan::tx_read_mark();
+  tmsan::on_tx_read(&lock, 7);
+  tmsan::on_tx_resume(mark);
+  tmsan::on_tx_read(&lock, 0);
+  tmsan::on_tx_read(&a, 2);
+  tmsan::on_tx_commit(30);
+  EXPECT_EQ(tmsan::violation_count(), 0u) << tmsan::report();
+
+  // Kept: a read made before the mark (a = 1, before writer 2) is still
+  // checked against the reads after the resume (b = 2, after it).
+  tmsan::on_tx_begin(false);
+  tmsan::on_tx_read(&a, 1);
+  mark = tmsan::tx_read_mark();
+  tmsan::on_tx_read(&lock, 7);
+  tmsan::on_tx_resume(mark);
+  tmsan::on_tx_read(&b, 2);
+  tmsan::on_tx_commit(40);
+  EXPECT_EQ(tmsan::violation_count(tmsan::ViolationKind::OpacityViolation),
+            1u)
+      << tmsan::report();
+}
+
 TEST_F(TmsanTest, OpacityCountsUnverifiableReadsInsteadOfGuessing) {
   tmsan::enable(tmsan::kCheckOpacity);
   std::uint64_t a = 0;

@@ -95,6 +95,9 @@ ctest --preset overload -j "$JOBS"
 stage "tsan: obs suite (per-thread summary, per-lock stats)"
 ctest --preset tsan-obs -j "$JOBS"
 
+stage "tsan: TxLock + atomic_defer suites (lock waits, parking in place)"
+ctest --preset tsan-defer -j "$JOBS"
+
 stage "asan build (-fsanitize=address, -Werror=deprecated-declarations)"
 cmake --preset asan >/dev/null
 cmake --build --preset asan -j "$JOBS"
