@@ -1,7 +1,7 @@
-// Registry-driven backend selection for the google-benchmark binaries.
-// state.range(0) carries the backend's registry index (== obs_index), so
-// ->Apply(AllBackends) gives one run per registered backend and a newly
-// registered family joins every micro matrix with no per-bench edits.
+// Backend selection for the google-benchmark binaries. state.range(0)
+// carries the backend's index in stm::backends() (== its obs_index()), so
+// ->Apply(AllBackends) gives one run per backend, in table order, with no
+// per-bench edits.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -14,8 +14,7 @@
 namespace adtm::bench {
 
 inline const stm::Backend* backend_of(const benchmark::State& state) {
-  return stm::backend_registry().at(
-      static_cast<std::size_t>(state.range(0)));
+  return &stm::backends()[static_cast<std::size_t>(state.range(0))];
 }
 
 inline void init_backend(const benchmark::State& state) {
@@ -31,7 +30,7 @@ inline void set_backend_label(benchmark::State& state) {
 // BENCHMARK(...)->Apply(adtm::bench::AllBackends)
 inline void AllBackends(benchmark::internal::Benchmark* b) {
   b->DenseRange(
-      0, static_cast<std::int64_t>(stm::backend_registry().size()) - 1);
+      0, static_cast<std::int64_t>(stm::backends().size()) - 1);
 }
 
 }  // namespace adtm::bench

@@ -30,7 +30,7 @@ using namespace adtm::bench;  // NOLINT
 struct Series {
   const char* name;
   dedup::SyncMode mode;
-  const char* backend;  // registry id; ignored for Pthread
+  const char* backend;  // backend id; ignored for Pthread
 };
 
 double run_one(const std::string& input, const Series& series,

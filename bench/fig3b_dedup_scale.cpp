@@ -21,7 +21,7 @@ using namespace adtm::bench;  // NOLINT
 struct Series {
   const char* name;
   dedup::SyncMode mode;
-  const char* backend;  // registry id
+  const char* backend;  // backend id
 };
 
 double run_one(const std::string& input, const Series& series,

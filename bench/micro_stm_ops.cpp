@@ -126,13 +126,12 @@ void BM_LargeReadFootprint(benchmark::State& state) {
 
 // Read-set scaling only makes sense for backends with per-read tracking
 // or validation cost: the redo/undo families plus the value-validating
-// and pessimistic ones — named here, resolved to registry indices.
+// and pessimistic ones — named here, resolved to table indices.
 void ReadFootprintArgs(benchmark::internal::Benchmark* b) {
   for (const char* id : {"tl2", "eager", "norec", "2pl"}) {
     const adtm::stm::Backend* be = adtm::stm::find_backend(id);
-    if (be == nullptr) continue;
     for (const std::int64_t vars : {64, 512, 4096}) {
-      b->Args({be->obs_index, vars});
+      b->Args({be->obs_index(), vars});
     }
   }
 }

@@ -114,11 +114,8 @@ void BM_TxLockContendedHandoff(benchmark::State& state) {
 void SpeculativeBackendsContended(benchmark::internal::Benchmark* b) {
   const int cores =
       std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
-  auto& reg = stm::backend_registry();
-  for (std::size_t i = 0; i < reg.size(); ++i) {
-    if (reg.at(i)->has(stm::kBackendRollback)) {
-      b->Arg(static_cast<std::int64_t>(i));
-    }
+  for (const stm::Backend& be : stm::backends()) {
+    if (be.algo != stm::Algo::CGL) b->Arg(be.obs_index());
   }
   b->DenseThreadRange(2, cores)->UseRealTime();
 }

@@ -48,7 +48,7 @@ namespace adtm::oltp {
 enum class Dist { Uniform, Zipf };
 
 struct ScenarioConfig {
-  // Backend registry id or display name ("tl2", "2PL", ...); "auto" runs
+  // Backend id or display name ("tl2", "2PL", ...); "auto" runs
   // the adaptive controller, so one scenario may commit under several
   // backends (finish_scenario sums the taxonomy across all of them).
   std::string backend = "tl2";

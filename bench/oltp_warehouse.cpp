@@ -5,7 +5,7 @@
 // exist in any real inventory), logs the order through the ordered
 // TxLogger (the deferral path doing real I/O-adjacent work inside the hot
 // loop), decrements stock rows in the B+ tree and inserts the order into
-// the skip list. Matrix: every registered backend (plus "auto") x the
+// the skip list. Matrix: every backend (plus "auto") x the
 // thread list.
 #include <algorithm>
 #include <cstdio>
@@ -28,10 +28,10 @@ int main() {
   const std::uint64_t items = std::min<std::uint64_t>(m.keys, 1u << 16);
   adtm::oltp::WarehouseRunner runner(items, /*seed=*/42);
 
-  // Every registered backend plus the adaptive controller.
+  // Every backend plus the adaptive controller.
   std::vector<std::string> backends;
-  for (std::size_t i = 0; i < adtm::stm::backend_registry().size(); ++i) {
-    backends.emplace_back(adtm::stm::backend_registry().at(i)->name);
+  for (const adtm::stm::Backend& b : adtm::stm::backends()) {
+    backends.emplace_back(b.name);
   }
   backends.emplace_back("auto");
 

@@ -1,6 +1,6 @@
 // YCSB-style OLTP benchmark over the transactional containers.
 //
-// Matrix: every registered backend (plus "auto") x {uniform, zipfian}
+// Matrix: every backend (plus "auto") x {uniform, zipfian}
 // x the thread list,
 // over one container (ADTM_OLTP_CONTAINER=btree|skiplist|both). Each
 // scenario reuses the same preloaded container — the oracle tracks size
@@ -25,12 +25,11 @@ using adtm::oltp::Dist;
 using adtm::oltp::MatrixConfig;
 using adtm::oltp::ScenarioConfig;
 
-// Every registered backend plus the adaptive controller ("auto") — new
-// backends join the matrix by registering, no edit here.
+// Every backend plus the adaptive controller ("auto").
 std::vector<std::string> matrix_backends() {
   std::vector<std::string> out;
-  for (std::size_t i = 0; i < adtm::stm::backend_registry().size(); ++i) {
-    out.emplace_back(adtm::stm::backend_registry().at(i)->name);
+  for (const adtm::stm::Backend& b : adtm::stm::backends()) {
+    out.emplace_back(b.name);
   }
   out.emplace_back("auto");
   return out;

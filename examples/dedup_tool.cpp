@@ -4,8 +4,8 @@
 //   ./dedup_tool compress <in> <out> [--mode pthread|tm|deferio|deferall]
 //                [--algo <backend>] [--workers N]
 //
-// --algo takes any backend registered with the STM (stm::backend_registry
-// ids or display names: tl2, eager, cgl, htmsim, norec, 2pl, ...).
+// --algo takes any STM backend (stm::backends() ids or display names:
+// tl2, eager, cgl, htmsim, norec, 2pl).
 //   ./dedup_tool restore <in> <out>
 //   ./dedup_tool demo     (synthesizes input, round-trips all modes)
 #include <cstdio>

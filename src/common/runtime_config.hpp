@@ -24,8 +24,8 @@ namespace adtm {
 
 struct RuntimeConfig {
   // --- backend selection (stm) ---------------------------------------
-  // STM backend by registry id ("tl2", "eager", "cgl", "htmsim",
-  // "norec", "2pl", ...), or "auto" for adaptive switching. Empty defers
+  // STM backend by id ("tl2", "eager", "cgl", "htmsim", "norec",
+  // "2pl") or display name, or "auto" for adaptive switching. Empty defers
   // to the stm::Config passed to stm::init. [ADTM_ALGO]
   std::string algo;
   // Adaptive mode: length of one abort-taxonomy observation window.

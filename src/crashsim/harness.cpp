@@ -450,12 +450,9 @@ std::vector<TortureCase> quick_matrix(std::uint64_t seed) {
 std::vector<TortureCase> full_matrix(std::uint64_t seed) {
   std::vector<TortureCase> cases;
   std::uint64_t s = seed * 7919;
-  // Every registered backend: the full matrix picks up new families
-  // (e.g. 2PL) automatically.
+  // Every backend in the table.
   std::vector<std::string> kAlgos;
-  for (std::size_t i = 0; i < stm::backend_registry().size(); ++i) {
-    kAlgos.emplace_back(stm::backend_registry().at(i)->name);
-  }
+  for (const stm::Backend& b : stm::backends()) kAlgos.emplace_back(b.name);
   for (const faultsim::CrashPointDesc& desc : faultsim::crash_points()) {
     for (const std::string& algo : kAlgos) {
       TortureCase tc;

@@ -114,9 +114,9 @@ void maybe_switch() noexcept {
     const std::uint64_t last = g_last_switch_ns.load(std::memory_order_relaxed);
     if (id != nullptr && (last == 0 || now - last >= dwell_ns) &&
         detail::locker_depth() == 0) {
+      // decide() only names backends in the table.
       const Backend* target = find_backend(id);
-      if (target != nullptr && target->has(kBackendAdaptive) &&
-          target != current_backend()) {
+      if (target != current_backend()) {
         try {
           switch_backend(target);
           g_last_switch_ns.store(now, std::memory_order_relaxed);

@@ -58,7 +58,7 @@ struct Driver {
   // Obs label index of the backend this transaction is running (begin()
   // may have re-resolved it after a switch at the serial gate).
   static std::uint8_t obs_idx(const Tx& tx) noexcept {
-    return tx.backend_ != nullptr ? tx.backend_->obs_index : obs::kNoAlgo;
+    return tx.backend_ != nullptr ? tx.backend_->obs_index() : obs::kNoAlgo;
   }
 
   static Tx::NestedCheckpoint nested_checkpoint(const Tx& tx) {
@@ -192,14 +192,14 @@ struct Driver {
   // True when a TxLock wait may park this attempt in place (LockWait):
   // nothing the attempt did is visible to other threads, so it can leave
   // the registry and later resume. Eager attempts that wrote own orecs,
-  // and HTMSim and extension backends (2PL's reader indicators would
-  // block writers), abort instead; so does a privileged attempt (its
-  // NOrec shield holds rival commits back). An attempt that acquired a
-  // TxLock (locker_depth() above the committed holds) must abort: that
-  // releases the lock, which keeps multi-lock acquisition deadlock-free.
+  // HTMSim and 2PL (its reader indicators would block writers) abort
+  // instead; so does a privileged attempt (its NOrec shield holds rival
+  // commits back). An attempt that acquired a TxLock (locker_depth()
+  // above the committed holds) must abort: that releases the lock, which
+  // keeps multi-lock acquisition deadlock-free.
   static bool may_park_in_place(const Tx& tx) {
     if (tx.mode_ != Tx::Mode::Speculative || !runtime().config.retry_wait ||
-        tx.priority_ || tx.backend_->ops != nullptr) {
+        tx.priority_) {
       return false;
     }
     const bool invisible =
@@ -485,7 +485,7 @@ struct Driver {
     // gate first. Counted once, however often the gate refuses.
     bool escalated = false;
     bool must_serial = false;  // the body cannot commit speculatively
-    if (b->has(kBackendDirectMode)) {
+    if (b->algo == Algo::CGL) {
       mode = Tx::Mode::CGL;
       cgl.lock();  // held across attempts, released at commit
     } else {
@@ -504,7 +504,7 @@ struct Driver {
         // attempt — an adaptive switch may have changed the backend.
         // Privilege is moot inside the serial gate — free the token so
         // another starved thread can use it.
-        const bool htm = b->has(kBackendHtmLike);
+        const bool htm = b->algo == Algo::HTMSim;
         if (!escalated &&
             attempt >= (htm ? cfg.htm_retries : cfg.serialize_after)) {
           escalated = true;
@@ -543,7 +543,7 @@ struct Driver {
       if (traced) {
         obs::emit(mode == Tx::Mode::Serial ? obs::EventType::SerialEnter
                                            : obs::EventType::TxBegin,
-                  obs::AbortCause::None, b->obs_index, 0, attempt);
+                  obs::AbortCause::None, b->obs_index(), 0, attempt);
       }
       Outcome out = Outcome::Commit;
       obs::AbortCause cause = obs::AbortCause::None;

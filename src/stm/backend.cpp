@@ -1,7 +1,8 @@
 #include "stm/backend.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <iterator>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 
@@ -10,84 +11,48 @@
 #include "obs/trace.hpp"
 #include "stm/adaptive.hpp"
 #include "stm/api.hpp"
-#include "stm/backends/backends.hpp"
 #include "stm/orec.hpp"
 #include "stm/registry.hpp"
 #include "stm/runtime.hpp"
 
 namespace adtm::stm {
 
-BackendRegistry::BackendRegistry() {
-  // Built-ins first; each registration publishes its obs label.
-  const std::uint32_t spec =
-      kBackendRollback | kBackendIrrevocable | kBackendSerialGate;
-  const auto add = [this](const char* id, const char* name,
-                          std::uint32_t caps, Algo core) {
-    Backend b;
-    b.id = id;
-    b.name = name;
-    b.caps = caps;
-    b.core = core;
-    b.ops = nullptr;
-    register_backend(b);
-  };
-  add("tl2", "TL2", spec | kBackendAdaptive, Algo::TL2);
-  add("eager", "Eager", spec | kBackendInPlaceWrites, Algo::Eager);
-  add("cgl", "CGL", kBackendDirectMode, Algo::CGL);
-  add("htmsim", "HTMSim",
-      spec | kBackendHtmLike | kBackendInPlaceWrites, Algo::HTMSim);
-  add("norec", "NOrec", spec | kBackendAdaptive, Algo::NOrec);
-  backends::register_extension_backends(*this);
-}
+namespace {
 
-const Backend* BackendRegistry::register_backend(const Backend& backend) {
-  if (backend.id == nullptr || backend.name == nullptr) {
-    throw std::logic_error("backend registration requires id and name");
-  }
-  if (backend.ops != nullptr &&
-      (backend.ops->begin == nullptr || backend.ops->read_word == nullptr ||
-       backend.ops->write_word == nullptr || backend.ops->commit == nullptr ||
-       backend.ops->rollback == nullptr)) {
-    throw std::logic_error("backend ops table is incomplete");
-  }
-  if (count_ >= kMaxBackends) {
-    throw std::logic_error("backend registry is full");
-  }
-  if (find(backend.id) != nullptr || find(backend.name) != nullptr) {
-    throw std::logic_error(std::string("duplicate backend id: ") +
-                           backend.id);
-  }
-  Backend& stored = backends_[count_];
-  stored = backend;
-  stored.obs_index = static_cast<std::uint8_t>(count_);
-  ++count_;
-  obs::register_algo_label(stored.obs_index, stored.name);
-  return &stored;
-}
+// Indexed by Algo: a backend's position is its Algo value (and so its
+// obs label index).
+constexpr Backend kBackends[] = {
+    {"tl2", "TL2", Algo::TL2},          {"eager", "Eager", Algo::Eager},
+    {"cgl", "CGL", Algo::CGL},          {"htmsim", "HTMSim", Algo::HTMSim},
+    {"norec", "NOrec", Algo::NOrec},    {"2pl", "2PL", Algo::TwoPL},
+};
 
-const Backend* BackendRegistry::find(
-    std::string_view id_or_name) const noexcept {
-  for (std::size_t i = 0; i < count_; ++i) {
-    if (id_or_name == backends_[i].id || id_or_name == backends_[i].name) {
-      return &backends_[i];
+constexpr bool indexed_by_algo() {
+  for (std::size_t i = 0; i < std::size(kBackends); ++i) {
+    if (static_cast<std::size_t>(kBackends[i].algo) != i) return false;
+  }
+  return true;
+}
+static_assert(indexed_by_algo(), "kBackends must be in Algo order");
+
+}  // namespace
+
+std::span<const Backend> backends() noexcept {
+  static const bool labels = [] {
+    for (const Backend& b : kBackends) {
+      obs::register_algo_label(b.obs_index(), b.name);
     }
-  }
-  return nullptr;
-}
-
-std::size_t BackendRegistry::size() const noexcept { return count_; }
-
-const Backend* BackendRegistry::at(std::size_t i) const noexcept {
-  return i < count_ ? &backends_[i] : nullptr;
-}
-
-BackendRegistry& backend_registry() noexcept {
-  static BackendRegistry registry;
-  return registry;
+    return true;
+  }();
+  (void)labels;
+  return kBackends;
 }
 
 const Backend* find_backend(std::string_view id_or_name) noexcept {
-  return backend_registry().find(id_or_name);
+  for (const Backend& b : backends()) {
+    if (id_or_name == b.id || id_or_name == b.name) return &b;
+  }
+  return nullptr;
 }
 
 namespace detail {
@@ -101,11 +66,22 @@ void unify_serialization_clocks(RuntimeState& rt) noexcept {
   // both clocks to a common maximum keeps commit keys monotonic across
   // a backend change: every post-switch key exceeds every pre-switch
   // key, whichever family filed it.
+  //
+  // The quiescent point, not these orders, is what makes the plain
+  // load/store pairs safe: no commit can advance either clock between
+  // them. The orders only carry the usual clock edges.
+  // pairs-with: clock_advance()'s acq_rel fetch_add (orec.hpp) by the
+  // last writer commit before the quiescent point.
   const std::uint64_t clock = g_clock->load(std::memory_order_acquire);
+  // pairs-with: commit_norec()'s release store of the even sequence.
   const std::uint64_t seq = rt.norec_seq.load(std::memory_order_acquire);
   std::uint64_t unified = std::max(clock, seq);
   unified += unified & 1;  // the sequence must stay even while unlocked
+  // pairs-with: clock_now()'s acquire load (orec.hpp) at the next
+  // begin() snapshot.
   g_clock->store(unified, std::memory_order_release);
+  // pairs-with: norec_snapshot()'s acquire load (tx.cpp) at the next
+  // NOrec begin().
   rt.norec_seq.store(unified, std::memory_order_release);
 }
 
@@ -124,10 +100,13 @@ const Backend* install_backend(const Config& cfg) {
   if (b == nullptr) {
     throw std::invalid_argument("stm: unknown backend \"" +
                                 std::string(name) +
-                                "\" (see stm::backend_registry())");
+                                "\" (see stm::backends())");
   }
   RuntimeState& rt = runtime();
   unify_serialization_clocks(rt);
+  // pairs-with: the acquire loads of active_backend in
+  // active_backend_or_default(), current_backend() and begin()'s
+  // re-resolve: a thread that sees `b` also sees the unified clocks.
   rt.active_backend.store(b, std::memory_order_seq_cst);
   adaptive::set_enabled(adaptive_mode);
   return b;
@@ -135,16 +114,33 @@ const Backend* install_backend(const Config& cfg) {
 
 const Backend* active_backend_or_default() {
   RuntimeState& rt = runtime();
+  // pairs-with: the seq_cst store of active_backend in install_backend()
+  // or switch_backend().
   const Backend* b = rt.active_backend.load(std::memory_order_acquire);
   if (b != nullptr) return b;
   // First transaction before any init(): resolve the default selection
-  // (racing resolvers compute the same answer; the store is idempotent).
-  return install_backend(rt.config);
+  // exactly once. install_backend() unifies the clocks with plain
+  // load/store pairs, which is only safe before any transaction starts; a
+  // second resolver running it after the first one's transaction began
+  // could move the clock backwards. call_once makes racing first
+  // transactions wait for the one resolution instead (a throw leaves the
+  // flag unset, so the next transaction retries).
+  static std::once_flag resolved;
+  std::call_once(resolved, [&rt] {
+    // pairs-with: an init() that ran since the load above.
+    if (rt.active_backend.load(std::memory_order_acquire) == nullptr) {
+      install_backend(rt.config);
+    }
+  });
+  // pairs-with: install_backend()'s store, whether this thread or the
+  // one call_once let through made it (call_once orders it before us).
+  return rt.active_backend.load(std::memory_order_acquire);
 }
 
 }  // namespace detail
 
 const Backend* current_backend() noexcept {
+  // pairs-with: the seq_cst store in install_backend()/switch_backend().
   return detail::runtime().active_backend.load(std::memory_order_acquire);
 }
 
@@ -162,13 +158,14 @@ void switch_backend(const Backend* target) {
         "switch_backend while holding a cross-transaction lock");
   }
   detail::RuntimeState& rt = detail::runtime();
+  // pairs-with: the seq_cst store in install_backend()/switch_backend().
   const Backend* cur = rt.active_backend.load(std::memory_order_acquire);
   if (cur == target) return;
-  if (target->has(kBackendDirectMode) ||
-      (cur != nullptr && cur->has(kBackendDirectMode))) {
+  if (target->algo == Algo::CGL ||
+      (cur != nullptr && cur->algo == Algo::CGL)) {
     // CGL transactions serialize on their own mutex, not the serial
-    // gate, so the gate cannot drain them: direct-mode backends are an
-    // init-time-only choice.
+    // gate, so the gate cannot drain them: CGL is an init-time-only
+    // choice.
     throw std::logic_error(
         "switch_backend: direct-mode backends (CGL) cannot be switched "
         "at runtime; use stm::init with no transactions in flight");
@@ -180,14 +177,19 @@ void switch_backend(const Backend* target) {
   // The gate has drained every speculative transaction and rival
   // cross-transaction locker: nothing is running the old backend, and
   // transactions parked at the gate re-resolve after it opens.
+  // pairs-with: a rival switch's seq_cst store, ordered before its gate
+  // release, which our gate CAS acquired.
   cur = rt.active_backend.load(std::memory_order_acquire);
   if (cur != target) {
     detail::unify_serialization_clocks(rt);
+    // pairs-with: begin()'s re-resolve load and Driver::resume()'s
+    // check (tx.cpp, api.cpp), through the release_serial_gate() store
+    // below and registry_enter()'s acquire of the open gate.
     rt.active_backend.store(target, std::memory_order_seq_cst);
     stats().add(Counter::BackendSwitches);
     obs::emit(obs::EventType::BackendSwitch, obs::AbortCause::None,
-              target->obs_index,
-              cur != nullptr ? cur->obs_index : obs::kNoAlgo);
+              target->obs_index(),
+              cur != nullptr ? cur->obs_index() : obs::kNoAlgo);
   }
   detail::release_serial_gate();
 }

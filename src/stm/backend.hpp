@@ -1,15 +1,13 @@
-// Pluggable STM backend registry.
+// STM backend table.
 //
-// A Backend is the unit of algorithm selection: a descriptor bundling a
-// stable string id, capability flags, and (for backends implemented
-// outside the core translation units) the per-transaction barrier entry
-// points. The five built-in algorithms (TL2, Eager, CGL, HTMSim, NOrec)
-// are registered as descriptors with `ops == nullptr` — the Tx hot paths
-// keep their inline dispatch for them — while extension backends (2PL)
-// plug in through BackendOps without touching any core algorithm file.
+// A Backend is the unit of algorithm selection: a stable string id, a
+// display name and the Algo the Tx paths (tx.cpp) dispatch on. The six
+// backends form a fixed table in a fixed order — tl2, eager, cgl,
+// htmsim, norec, 2pl — which test parameter names, bench matrices and
+// obs labels depend on; a backend's index in it is its Algo value.
 //
 // Selection:
-//   stm::Config::backend names a registry id ("tl2", "2pl", ..., or
+//   stm::Config::backend names a backend id ("tl2", "2pl", ..., or
 //   "auto" for adaptive switching); ADTM_ALGO does the same from the
 //   environment.
 //
@@ -19,24 +17,24 @@
 //   cross-transaction locker), publishes the new descriptor, emits an
 //   obs backend-switch event, and releases the gate. Transactions that
 //   were parked at the gate re-resolve the backend when they enter, so
-//   no transaction ever runs with a torn algorithm choice. Direct-mode
-//   backends (CGL) are excluded from runtime switching — CGL transactions
-//   serialize on their own mutex, not the gate, so the gate cannot drain
-//   them; CGL remains an init-time-only choice.
+//   no transaction ever runs with a torn algorithm choice. CGL is
+//   excluded from runtime switching — CGL transactions serialize on
+//   their own mutex, not the gate, so the gate cannot drain them; CGL
+//   remains an init-time-only choice.
 #pragma once
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 namespace adtm::stm {
 
-class Tx;
 struct Config;
 
-// Core algorithm of a built-in backend: the key the Tx inline paths
-// (tx.cpp) dispatch on. Selection is by registry id, never by this enum.
+// The algorithm a backend runs: the key the Tx paths (tx.cpp) dispatch
+// on, and the backend's index in backends(). Selection is by id, never
+// by this enum.
 //
 // TL2    — lazy versioning: writes are buffered in a redo log and published
 //          at commit under per-orec locks (Dice/Shalev/Shavit TL2 with
@@ -44,7 +42,7 @@ struct Config;
 // Eager  — encounter-time locking with an undo log (TinySTM write-through).
 // CGL    — a single global lock; no instrumentation, no aborts. This is
 //          both a correctness oracle and the paper's coarse-grained-lock
-//          baseline.
+//          baseline. The one backend that cannot roll back or escalate.
 // HTMSim — simulated best-effort hardware TM: eager conflict detection with
 //          immediate abort, a capacity budget on the transaction footprint,
 //          a small retry budget, and a global-lock fallback that all
@@ -54,113 +52,39 @@ struct Config;
 //          global sequence lock, value-based read validation, redo log.
 //          Minimal metadata, strong privatization behaviour, commits
 //          serialized on the sequence lock.
-enum class Algo : std::uint8_t { TL2, Eager, CGL, HTMSim, NOrec };
+// TwoPL  — distributed two-phase locking (twopl.cpp): encounter-time
+//          write locks with an undo log, pessimistic reads through
+//          per-thread reader indicators, no read validation.
+enum class Algo : std::uint8_t { TL2, Eager, CGL, HTMSim, NOrec, TwoPL };
 
 namespace detail {
 using Word = std::atomic<std::uint64_t>;
 }
 
-// --- capability flags -------------------------------------------------------
-
-// Speculative: arbitrary bodies can roll back (cancel(), conflict aborts,
-// closed nesting). Clear for direct-mode backends.
-inline constexpr std::uint32_t kBackendRollback = 1u << 0;
-// Supports escalation to serial-irrevocable mode mid-run.
-inline constexpr std::uint32_t kBackendIrrevocable = 1u << 1;
-// Uses the serial gate as its contention-management fallback.
-inline constexpr std::uint32_t kBackendSerialGate = 1u << 2;
-// HTM-like: small retry budget, capacity aborts, no busy-orec spinning.
-inline constexpr std::uint32_t kBackendHtmLike = 1u << 3;
-// Writes go in place at encounter time (undo-log rollback).
-inline constexpr std::uint32_t kBackendInPlaceWrites = 1u << 4;
-// Reads take pessimistic ownership (reader indicators) instead of
-// optimistic validation.
-inline constexpr std::uint32_t kBackendPessimisticReads = 1u << 5;
-// Direct mode: uninstrumented accesses, cannot abort, excluded from
-// runtime switching (CGL).
-inline constexpr std::uint32_t kBackendDirectMode = 1u << 6;
-// Candidate for adaptive ("auto") switching.
-inline constexpr std::uint32_t kBackendAdaptive = 1u << 7;
-
-// --- descriptor -------------------------------------------------------------
-
-// Barrier/commit/abort entry points for backends implemented outside the
-// core Tx translation unit. All five must be set when `Backend::ops` is
-// non-null. They run only in speculative mode; serial/CGL escalation is
-// handled by the driver before these are consulted.
-struct BackendOps {
-  // After the common begin bookkeeping (registry entry, snapshot,
-  // liveness state). Reset per-attempt extension state here.
-  void (*begin)(Tx& tx);
-  std::uint64_t (*read_word)(Tx& tx, const detail::Word* addr);
-  void (*write_word)(Tx& tx, detail::Word* addr, std::uint64_t value);
-  // Full commit: publish, file the tmsan record, release locks, leave the
-  // registry, and mark the transaction finished with its commit timestamp
-  // (BackendSpi::finish_commit); the driver then quiesces.
-  // May throw ConflictAbort; the driver then calls rollback.
-  void (*commit)(Tx& tx);
-  // Extension-state cleanup (e.g. reader indicators), called at the start
-  // of the generic rollback. Must not throw.
-  void (*rollback)(Tx& tx);
-};
-
 struct Backend {
-  const char* id;    // stable lowercase registry id: "tl2", "2pl", ...
+  const char* id;    // stable lowercase id: "tl2", "2pl", ...
   const char* name;  // display name (obs label, test params): "TL2", "2PL"
-  std::uint32_t caps = 0;
-  // Core algorithm the Tx inline paths run when `ops == nullptr`; for
-  // extension backends, the closest built-in (picks the serial-mode and
-  // snapshot behavior the common begin/commit paths use).
-  Algo core = Algo::TL2;
-  const BackendOps* ops = nullptr;  // null for the five built-ins
-  // Dense index assigned at registration; doubles as the obs algo label
-  // index (obs::register_algo_label) and the trace-event algo byte.
-  std::uint8_t obs_index = 0;
+  Algo algo;
 
-  bool has(std::uint32_t cap) const noexcept { return (caps & cap) != 0; }
+  // The obs algo label index and trace-event algo byte.
+  std::uint8_t obs_index() const noexcept {
+    return static_cast<std::uint8_t>(algo);
+  }
 };
 
-// --- registry ---------------------------------------------------------------
+// Every backend, in Algo order (see the file comment). The first call
+// registers their obs labels.
+std::span<const Backend> backends() noexcept;
 
-inline constexpr std::size_t kMaxBackends = 16;
-
-class BackendRegistry {
- public:
-  // Register a backend; the id must be unique and the table not full
-  // (throws std::logic_error otherwise). Returns the stored descriptor,
-  // whose obs_index has been assigned. Registration is for startup
-  // (static-init manifests, test setup), not concurrent with tracing.
-  const Backend* register_backend(const Backend& backend);
-
-  // Lookup by registry id or display name (exact match); null if absent.
-  const Backend* find(std::string_view id_or_name) const noexcept;
-
-  // Enumeration in registration order (the five built-ins first).
-  std::size_t size() const noexcept;
-  const Backend* at(std::size_t i) const noexcept;
-
- private:
-  friend BackendRegistry& backend_registry() noexcept;
-  BackendRegistry();
-
-  Backend backends_[kMaxBackends];
-  std::size_t count_ = 0;
-};
-
-// The process-wide registry. First use registers the five built-in
-// algorithms and then every extension backend named in the
-// src/stm/backends manifest.
-BackendRegistry& backend_registry() noexcept;
-
-// Convenience lookup; null if no such backend.
+// Lookup by id or display name (exact match); null if no such backend.
 const Backend* find_backend(std::string_view id_or_name) noexcept;
 
 // The currently active backend (what new transactions will run).
 const Backend* current_backend() noexcept;
 
 // Swap the active backend at a quiescent point (see file comment).
-// Throws std::logic_error for direct-mode source or target, or a null
-// target. No-op when the target is already active. Callers must not hold
+// Throws std::logic_error for a CGL source or target, or a null target.
+// No-op when the target is already active. Callers must not hold
 // cross-transaction locks (TxLockGuard / in-flight deferred op) — the
 // serial gate drains those.
 void switch_backend(const Backend* target);
@@ -174,8 +98,8 @@ namespace detail {
 // unknown name. Called by init().
 const Backend* install_backend(const Config& cfg);
 
-// The active backend, lazily resolving the default selection if no
-// init() has run yet (may throw for a bad ADTM_ALGO value).
+// The active backend, resolving the default selection exactly once if
+// no init() has run yet (may throw for a bad ADTM_ALGO value).
 const Backend* active_backend_or_default();
 
 }  // namespace detail

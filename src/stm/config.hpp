@@ -10,8 +10,8 @@
 namespace adtm::stm {
 
 struct Config {
-  // STM backend by registry id ("tl2", "eager", "cgl", "htmsim", "norec",
-  // "2pl", ...) or "auto" for adaptive runtime switching. When empty,
+  // STM backend by id ("tl2", "eager", "cgl", "htmsim", "norec", "2pl")
+  // or display name, or "auto" for adaptive runtime switching. When empty,
   // ADTM_ALGO (adtm::RuntimeConfig::algo) fills in, then the TL2 default
   // — the env knob does not override an explicit selection. Unknown
   // names make init() throw.

@@ -51,7 +51,7 @@ void Tx::begin(const Backend* backend, Mode mode, std::uint32_t attempt) {
   ADTM_INVARIANT(backend != nullptr, "begin() without a backend");
   mode_ = mode;
   backend_ = backend;
-  algo_ = backend->core;
+  algo_ = backend->algo;
   attempt_ = attempt;
   tid_ = thread_id();
   commit_ts_ = 0;
@@ -82,7 +82,7 @@ void Tx::begin(const Backend* backend, Mode mode, std::uint32_t attempt) {
       detail::runtime().active_backend.load(std::memory_order_acquire);
   if (cur != nullptr && cur != backend_) {
     backend_ = cur;
-    algo_ = cur->core;
+    algo_ = cur->algo;
   }
   if (mode_ == Mode::Speculative) {
     // Refresh the snapshot so we do not start in the past relative to the
@@ -105,11 +105,9 @@ void Tx::begin(const Backend* backend, Mode mode, std::uint32_t attempt) {
   in_tx_ = true;
   stats().add(Counter::TxStart);
   tmsan::on_tx_begin(mode_ != Mode::Speculative);
-  // Extension backends reset their per-attempt state last, with all the
-  // common bookkeeping (registry slot, snapshot, liveness) in place.
-  if (mode_ == Mode::Speculative && backend_->ops != nullptr) {
-    backend_->ops->begin(*this);
-  }
+  // 2PL checks its per-attempt state last, with all the common
+  // bookkeeping (registry slot, snapshot, liveness) in place.
+  if (mode_ == Mode::Speculative && algo_ == Algo::TwoPL) twopl_begin();
 }
 
 void Tx::commit() {
@@ -126,15 +124,12 @@ void Tx::commit() {
     in_tx_ = false;
     return;
   }
-  if (backend_->ops != nullptr) {
-    // Extension backends own their whole commit protocol (publication,
-    // tmsan filing, lock release, registry exit) and report the commit
-    // timestamp through BackendSpi::finish_commit.
-    backend_->ops->commit(*this);
-    return;
-  }
   if (algo_ == Algo::NOrec) {
     commit_norec();
+    return;
+  }
+  if (algo_ == Algo::TwoPL) {
+    twopl_commit();
     return;
   }
   const bool read_only = (algo_ == Algo::TL2) ? writes_.empty() : locks_.empty();
@@ -300,11 +295,8 @@ void Tx::rollback() noexcept {
   // The attempt is over: drop the NOrec shield so rivals held back for
   // this privileged attempt do not stall while we park or back off.
   if (priority_) liveness::contention().set_priority_attempt(false);
-  // Extension-state cleanup (e.g. 2PL reader indicators) before the
-  // generic undo/lock unwinding below.
-  if (backend_ != nullptr && backend_->ops != nullptr) {
-    backend_->ops->rollback(*this);
-  }
+  // 2PL reader indicators go before the generic undo/lock unwinding.
+  if (algo_ == Algo::TwoPL) twopl_rollback();
   undo_.rollback();
   undo_.clear();
   locks_.restore_all();
@@ -347,8 +339,8 @@ std::uint64_t Tx::read_word(const detail::Word* addr) {
     tmsan::on_tx_read(addr, v);
     return v;
   }
-  if (backend_->ops != nullptr) return backend_->ops->read_word(*this, addr);
   if (algo_ == Algo::NOrec) return read_word_norec(addr);
+  if (algo_ == Algo::TwoPL) return twopl_read(addr);
   return read_word_speculative(addr);
 }
 
@@ -438,13 +430,13 @@ void Tx::write_word(detail::Word* addr, std::uint64_t value) {
     tmsan::on_tx_write(addr, value);
     return;
   }
-  if (backend_->ops != nullptr) {
-    backend_->ops->write_word(*this, addr, value);
-    return;
-  }
   if (algo_ == Algo::TL2 || algo_ == Algo::NOrec) {
     writes_.insert(addr, value);
     tmsan::on_tx_write(addr, value);
+    return;
+  }
+  if (algo_ == Algo::TwoPL) {
+    twopl_write(addr, value);
     return;
   }
   // Eager / HTMSim: encounter-time lock, log old value, write in place.

@@ -14,8 +14,6 @@
 
 namespace adtm::stm {
 
-struct BackendSpi;
-
 namespace detail {
 struct Driver;
 class LockWait;
@@ -68,16 +66,13 @@ class Tx {
  private:
   friend struct detail::Driver;
   friend class detail::LockWait;  // marks the read logs at a TxLock call
-  // Extension backends (stm/backends/*) reach Tx internals through the
-  // BackendSpi accessor struct instead of each being a friend.
-  friend struct BackendSpi;
   Tx() = default;
 
   enum class Mode : std::uint8_t { Speculative, Serial, CGL };
 
   // Per-attempt state.
   Mode mode_ = Mode::Speculative;
-  Algo algo_ = Algo::TL2;           // backend_->core (inline-dispatch key)
+  Algo algo_ = Algo::TL2;             // backend_->algo (the dispatch key)
   const Backend* backend_ = nullptr;  // resolved descriptor for this attempt
   std::uint64_t start_ = 0;  // snapshot timestamp
   // Timestamp a writer commit published at; 0 for a read-only or
@@ -114,6 +109,8 @@ class Tx {
   // Thread-exit watch: a waiter parked on state owned by another thread
   // wakes when any thread exits, so orphaned-owner checks re-run promptly.
   std::uint64_t retry_exit_snap_ = 0;
+  // 2PL only: the reader-indicator slots this attempt holds (twopl.cpp).
+  std::vector<std::uint16_t> twopl_held_;
 
   // --- algorithm steps (tx.cpp) ---
   void begin(const Backend* backend, Mode mode, std::uint32_t attempt);
@@ -134,6 +131,15 @@ class Tx {
   std::uint64_t read_word_norec(const detail::Word* addr);
   std::uint64_t norec_validate();  // throws ConflictAbort; returns snapshot
   void commit_norec();
+
+  // 2PL paths (twopl.cpp).
+  void twopl_begin();
+  std::uint64_t twopl_read(const detail::Word* addr);
+  void twopl_write(detail::Word* addr, std::uint64_t value);
+  void twopl_commit();
+  void twopl_rollback() noexcept;
+  void twopl_lock_orec(Orec& o);
+  void twopl_drain_readers(std::uint16_t slot);
 
   // --- closed nesting (paper §8 future work) --------------------------
   // A checkpoint of every per-transaction log; nested_abort rolls the

@@ -115,8 +115,8 @@ TEST_F(CrashsimTest, QuickMatrixCoversEveryRegisteredPoint) {
 TEST_F(CrashsimTest, FullMatrixCoversEveryPointUnderEveryAlgorithm) {
   const auto cases = full_matrix(1);
   for (const auto& desc : faultsim::crash_points()) {
-    for (std::size_t i = 0; i < stm::backend_registry().size(); ++i) {
-      const std::string algo = stm::backend_registry().at(i)->name;
+    for (const stm::Backend& b : stm::backends()) {
+      const std::string algo = b.name;
       const bool covered =
           std::any_of(cases.begin(), cases.end(), [&](const TortureCase& tc) {
             return tc.point == desc.name && tc.algo == algo;

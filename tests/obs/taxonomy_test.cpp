@@ -47,7 +47,7 @@ struct Path {
   // Serial-mode runs restart once before the body proper.
   std::uint64_t restarts() const { return serial ? 1 : 0; }
   bool direct() const {
-    return serial || stm::find_backend(backend)->has(stm::kBackendDirectMode);
+    return serial || stm::find_backend(backend)->algo == stm::Algo::CGL;
   }
   void enter(stm::Tx& tx) const {
     if (serial) stm::become_irrevocable(tx);
@@ -58,7 +58,7 @@ std::vector<Path> all_paths() {
   std::vector<Path> paths;
   for (const std::string& name : test::all_backend_names()) {
     paths.push_back({name, false});
-    if (stm::find_backend(name)->has(stm::kBackendIrrevocable)) {
+    if (stm::find_backend(name)->algo != stm::Algo::CGL) {
       paths.push_back({name, true});
     }
   }

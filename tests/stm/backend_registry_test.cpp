@@ -1,11 +1,17 @@
-// The pluggable backend registry: enumeration order, lookup, capability
-// flags, registration validation, and the serial-gate switch_backend
+// The backend table: enumeration order, lookup, each backend's Algo,
+// the lazy default resolution, and the serial-gate switch_backend
 // contract (error cases here; switching under load lives in
 // adaptive_switch_test.cpp).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <thread>
+#include <vector>
+
+#include "common/runtime_config.hpp"
 
 #include "stm/backend.hpp"
 #include "stm/tvar.hpp"
@@ -15,16 +21,15 @@ namespace adtm {
 namespace {
 
 TEST(BackendRegistry, BuiltinsEnumerateInAlgoOrderWithDenseIndices) {
-  auto& reg = stm::backend_registry();
-  ASSERT_GE(reg.size(), 6u);
+  const auto table = stm::backends();
+  ASSERT_EQ(table.size(), 6u);
   const char* ids[] = {"tl2", "eager", "cgl", "htmsim", "norec", "2pl"};
+  const char* names[] = {"TL2", "Eager", "CGL", "HTMSim", "NOrec", "2PL"};
   for (std::size_t i = 0; i < 6; ++i) {
-    const stm::Backend* b = reg.at(i);
-    ASSERT_NE(b, nullptr);
-    EXPECT_STREQ(b->id, ids[i]);
-    EXPECT_EQ(b->obs_index, i);
+    EXPECT_STREQ(table[i].id, ids[i]);
+    EXPECT_STREQ(table[i].name, names[i]);
+    EXPECT_EQ(table[i].obs_index(), i);
   }
-  EXPECT_EQ(reg.at(reg.size()), nullptr);
 }
 
 TEST(BackendRegistry, FindMatchesIdAndDisplayName) {
@@ -38,50 +43,42 @@ TEST(BackendRegistry, FindMatchesIdAndDisplayName) {
 }
 
 TEST(BackendRegistry, CapabilityFlags) {
-  const stm::Backend* tl2 = stm::find_backend("tl2");
-  EXPECT_TRUE(tl2->has(stm::kBackendRollback));
-  EXPECT_TRUE(tl2->has(stm::kBackendAdaptive));
-  EXPECT_FALSE(tl2->has(stm::kBackendInPlaceWrites));
-
-  const stm::Backend* cgl = stm::find_backend("cgl");
-  EXPECT_TRUE(cgl->has(stm::kBackendDirectMode));
-  EXPECT_FALSE(cgl->has(stm::kBackendRollback));
-
-  const stm::Backend* htm = stm::find_backend("htmsim");
-  EXPECT_TRUE(htm->has(stm::kBackendHtmLike));
-
-  const stm::Backend* twopl = stm::find_backend("2pl");
-  EXPECT_TRUE(twopl->has(stm::kBackendRollback));
-  EXPECT_TRUE(twopl->has(stm::kBackendInPlaceWrites));
-  EXPECT_TRUE(twopl->has(stm::kBackendPessimisticReads));
-  EXPECT_TRUE(twopl->has(stm::kBackendAdaptive));
-  EXPECT_NE(twopl->ops, nullptr);
+  EXPECT_EQ(stm::find_backend("tl2")->algo, stm::Algo::TL2);
+  EXPECT_EQ(stm::find_backend("eager")->algo, stm::Algo::Eager);
+  EXPECT_EQ(stm::find_backend("cgl")->algo, stm::Algo::CGL);
+  EXPECT_EQ(stm::find_backend("htmsim")->algo, stm::Algo::HTMSim);
+  EXPECT_EQ(stm::find_backend("norec")->algo, stm::Algo::NOrec);
+  EXPECT_EQ(stm::find_backend("2pl")->algo, stm::Algo::TwoPL);
 }
 
-TEST(BackendRegistry, RejectsInvalidRegistrations) {
-  auto& reg = stm::backend_registry();
-  stm::Backend dup;
-  dup.id = "tl2";
-  dup.name = "Duplicate";
-  EXPECT_THROW(reg.register_backend(dup), std::logic_error);
-
-  stm::Backend dup_name;
-  dup_name.id = "fresh-id";
-  dup_name.name = "TL2";
-  EXPECT_THROW(reg.register_backend(dup_name), std::logic_error);
-
-  stm::Backend null_id;
-  null_id.id = nullptr;
-  null_id.name = "NullId";
-  EXPECT_THROW(reg.register_backend(null_id), std::logic_error);
-
-  // An extension backend (non-null ops) must fill the whole ops table.
-  stm::BackendOps partial{};
-  stm::Backend incomplete;
-  incomplete.id = "incomplete";
-  incomplete.name = "Incomplete";
-  incomplete.ops = &partial;
-  EXPECT_THROW(reg.register_backend(incomplete), std::logic_error);
+// Needs a process in which no init() has run; ctest runs each test in
+// its own. Racing first transactions resolve the default backend once,
+// before any of them starts.
+TEST(BackendRegistry, LazyDefaultResolvesOnceForRacingFirstTransactions) {
+  if (stm::current_backend() != nullptr) {
+    GTEST_SKIP() << "init() already ran in this process";
+  }
+  constexpr int kThreads = 8;
+  constexpr int kIncrements = 2000;
+  stm::tvar<int> counter{0};
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < kIncrements; ++i) {
+        stm::atomic(
+            [&](stm::Tx& tx) { counter.set(tx, counter.get(tx) + 1); });
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(counter.load_direct(), kThreads * kIncrements);
+  // The default: ADTM_ALGO when set (and not "auto"), else TL2.
+  std::string_view expected = runtime_config().algo;
+  if (expected.empty() || expected == "auto") expected = "tl2";
+  EXPECT_EQ(stm::current_backend(), stm::find_backend(expected));
 }
 
 TEST(BackendRegistry, ConfigSelectionByNameAndError) {

@@ -1,8 +1,8 @@
 // Shared gtest support: parameterization over STM backends.
 //
-// Parameters are backend display names enumerated from the backend
-// registry, so every suite instantiated with AllAlgos()/SpeculativeAlgos()
-// picks up newly registered backends (e.g. "2PL") with no per-suite edits.
+// Parameters are backend display names enumerated from stm::backends(),
+// so every suite instantiated with AllAlgos()/SpeculativeAlgos() runs on
+// every backend in the table, in its order, with no per-suite edits.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -32,24 +32,20 @@ inline std::string algo_param_name(
   return info.param;  // display names are alphanumeric, valid as-is
 }
 
-// Display names of every backend supporting rollback of arbitrary bodies.
+// Display names of every backend supporting rollback of arbitrary bodies
+// (all but CGL).
 inline std::vector<std::string> speculative_backend_names() {
   std::vector<std::string> names;
-  auto& reg = stm::backend_registry();
-  for (std::size_t i = 0; i < reg.size(); ++i) {
-    const stm::Backend* b = reg.at(i);
-    if (b->has(stm::kBackendRollback)) names.emplace_back(b->name);
+  for (const stm::Backend& b : stm::backends()) {
+    if (b.algo != stm::Algo::CGL) names.emplace_back(b.name);
   }
   return names;
 }
 
-// Display names of every registered backend.
+// Display names of every backend.
 inline std::vector<std::string> all_backend_names() {
   std::vector<std::string> names;
-  auto& reg = stm::backend_registry();
-  for (std::size_t i = 0; i < reg.size(); ++i) {
-    names.emplace_back(reg.at(i)->name);
-  }
+  for (const stm::Backend& b : stm::backends()) names.emplace_back(b.name);
   return names;
 }
 

@@ -83,6 +83,9 @@ stage "tsan build (-fsanitize=thread, -Werror=deprecated-declarations)"
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$JOBS"
 
+stage "tsan: core STM suites (every backend)"
+ctest --preset tsan-stm -j "$JOBS"
+
 stage "tsan: liveness + fault suites"
 ctest --preset tsan-concurrency -j "$JOBS"
 
