@@ -77,26 +77,19 @@ ScenarioResult finish_scenario(const ScenarioConfig& cfg,
   res.p999_ns = engine.p999;
   res.oracle_ok = oracle_ok;
 
-  // "auto" commits under whichever backends the controller picked, so the
-  // taxonomy for that scenario is the sum over every per-backend row.
+  // The scenario's taxonomy is its backend's row of the run summary.
   const stm::Backend* b = stm::find_backend(cfg.backend);
-  const bool adaptive = b == nullptr;
-  std::uint64_t causes[static_cast<std::size_t>(obs::AbortCause::kCount)] = {};
   const obs::RunSummary sum = obs::summary();
   for (const auto& a : sum.algos) {
-    if (!adaptive && a.algo != b->name) continue;
-    res.obs_commits += a.commits;
-    res.obs_aborts += a.total_aborts;
+    if (a.algo != b->name) continue;
+    res.obs_commits = a.commits;
+    res.obs_aborts = a.total_aborts;
     for (std::size_t c = 0;
          c < static_cast<std::size_t>(obs::AbortCause::kCount); ++c) {
-      causes[c] += a.aborts[c];
+      if (a.aborts[c] == 0) continue;
+      res.abort_causes.emplace_back(
+          obs::abort_cause_name(static_cast<obs::AbortCause>(c)), a.aborts[c]);
     }
-  }
-  for (std::size_t c = 0;
-       c < static_cast<std::size_t>(obs::AbortCause::kCount); ++c) {
-    if (causes[c] == 0) continue;
-    res.abort_causes.emplace_back(
-        obs::abort_cause_name(static_cast<obs::AbortCause>(c)), causes[c]);
   }
   return res;
 }

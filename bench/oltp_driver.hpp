@@ -48,9 +48,8 @@ namespace adtm::oltp {
 enum class Dist { Uniform, Zipf };
 
 struct ScenarioConfig {
-  // Backend id or display name ("tl2", "2PL", ...); "auto" runs
-  // the adaptive controller, so one scenario may commit under several
-  // backends (finish_scenario sums the taxonomy across all of them).
+  // Backend id or display name ("tl2", "2PL", ...); the scenario runs
+  // it for its whole duration.
   std::string backend = "tl2";
   Dist dist = Dist::Uniform;
   double theta = 0.99;          // zipfian skew

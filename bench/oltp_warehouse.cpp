@@ -5,8 +5,8 @@
 // exist in any real inventory), logs the order through the ordered
 // TxLogger (the deferral path doing real I/O-adjacent work inside the hot
 // loop), decrements stock rows in the B+ tree and inserts the order into
-// the skip list. Matrix: every backend (plus "auto") x the
-// thread list, after one unrecorded warm-up window.
+// the skip list. Matrix: every backend x the thread list, after one
+// unrecorded warm-up window.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -28,12 +28,10 @@ int main() {
   const std::uint64_t items = std::min<std::uint64_t>(m.keys, 1u << 16);
   adtm::oltp::WarehouseRunner runner(items, /*seed=*/42);
 
-  // Every backend plus the adaptive controller.
   std::vector<std::string> backends;
   for (const adtm::stm::Backend& b : adtm::stm::backends()) {
     backends.emplace_back(b.name);
   }
-  backends.emplace_back("auto");
 
   const auto scenario_cfg = [&m, items](const std::string& backend,
                                         unsigned threads) {

@@ -1,7 +1,6 @@
 // YCSB-style OLTP benchmark over the transactional containers.
 //
-// Matrix: every backend (plus "auto") x {uniform, zipfian}
-// x the thread list,
+// Matrix: every backend x {uniform, zipfian} x the thread list,
 // over one container (ADTM_OLTP_CONTAINER=btree|skiplist|both). Each
 // scenario reuses the same preloaded container — the oracle tracks size
 // deltas, so carry-over between scenarios is fine and saves the (large)
@@ -26,13 +25,11 @@ using adtm::oltp::Dist;
 using adtm::oltp::MatrixConfig;
 using adtm::oltp::ScenarioConfig;
 
-// Every backend plus the adaptive controller ("auto").
 std::vector<std::string> matrix_backends() {
   std::vector<std::string> out;
   for (const adtm::stm::Backend& b : adtm::stm::backends()) {
     out.emplace_back(b.name);
   }
-  out.emplace_back("auto");
   return out;
 }
 

@@ -41,13 +41,7 @@ bool parse_mode(const std::string& s, dedup::SyncMode* out) {
 
 bool parse_algo(const std::string& s, std::string* out) {
   // Any registered backend by id or display name ("htm" kept as a
-  // convenience alias for the simulated-HTM family), or "auto" for the
-  // adaptive controller — which is a Config selector, not a registered
-  // backend, so it bypasses the lookup.
-  if (s == "auto") {
-    *out = s;
-    return true;
-  }
+  // convenience alias for the simulated-HTM family).
   const stm::Backend* b = stm::find_backend(s == "htm" ? "htmsim" : s);
   if (b == nullptr) return false;
   *out = b->id;
@@ -93,7 +87,6 @@ int cmd_compress(int argc, char** argv) {
   const std::string input = io::read_file(argv[2]);
   const dedup::PipelineStats stats =
       dedup::dedup_stream(input, argv[3], opts);
-  // Under "auto" the active backend is whatever the controller picked.
   std::printf("mode=%s algo=%s ", sync_mode_name(opts.mode),
               stm::current_backend()->name);
   report(stats);

@@ -9,9 +9,6 @@ namespace adtm {
 RuntimeConfig runtime_config_from_env() {
   RuntimeConfig cfg;
   cfg.algo = env_str("ADTM_ALGO", cfg.algo);
-  cfg.adapt_window_ms = env_u64("ADTM_ADAPT_WINDOW_MS", cfg.adapt_window_ms);
-  cfg.adapt_min_dwell_ms =
-      env_u64("ADTM_ADAPT_MIN_DWELL_MS", cfg.adapt_min_dwell_ms);
   cfg.starvation_threshold = static_cast<std::uint32_t>(
       env_u64("ADTM_STARVATION_THRESHOLD", cfg.starvation_threshold));
   cfg.stall_budget_ms = env_u64("ADTM_STALL_BUDGET_MS", cfg.stall_budget_ms);

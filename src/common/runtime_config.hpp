@@ -25,15 +25,9 @@ namespace adtm {
 struct RuntimeConfig {
   // --- backend selection (stm) ---------------------------------------
   // STM backend by id ("tl2", "eager", "cgl", "htmsim", "norec",
-  // "2pl") or display name, or "auto" for adaptive switching. Empty defers
-  // to the stm::Config passed to stm::init. [ADTM_ALGO]
+  // "2pl") or display name. Empty defers to the stm::Config passed to
+  // stm::init. [ADTM_ALGO]
   std::string algo;
-  // Adaptive mode: length of one abort-taxonomy observation window.
-  // [ADTM_ADAPT_WINDOW_MS]
-  std::uint64_t adapt_window_ms = 50;
-  // Adaptive mode: minimum dwell on a backend before the next switch
-  // (hysteresis against decision flapping). [ADTM_ADAPT_MIN_DWELL_MS]
-  std::uint64_t adapt_min_dwell_ms = 200;
 
   // --- contention management (stm) -----------------------------------
   // Consecutive conflict-abort streak at which a thread climbs the

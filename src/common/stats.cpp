@@ -39,7 +39,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::BreakerTrips: return "breaker_trips";
     case Counter::DegradedMs: return "degraded_ms";
     case Counter::IoCallbackErrors: return "io_callback_errors";
-    case Counter::BackendSwitches: return "backend_switches";
     case Counter::kCount: break;
   }
   return "unknown";

@@ -50,7 +50,6 @@ enum class Counter : std::uint32_t {
   BreakerTrips,         // circuit breaker closed/half-open -> open transitions
   DegradedMs,           // milliseconds spent non-Healthy (added at recovery)
   IoCallbackErrors,     // async-I/O completion callbacks that threw
-  BackendSwitches,      // adaptive/manual STM backend swaps at the serial gate
   kCount
 };
 

@@ -36,7 +36,6 @@ const char* event_name(EventType t) noexcept {
     case EventType::WalFlush: return "wal-flush";
     case EventType::HealthTransition: return "health-transition";
     case EventType::BreakerTransition: return "breaker-transition";
-    case EventType::BackendSwitch: return "backend-switch";
     case EventType::kCount: break;
   }
   return "?";

@@ -54,7 +54,6 @@ enum class EventType : std::uint8_t {
   WalFlush,       // arg0 = records flushed, arg1 = total fsync count
   HealthTransition,   // arg0 = from HealthState, arg1 = to HealthState
   BreakerTransition,  // arg0 = from BreakerState, arg1 = to BreakerState
-  BackendSwitch,      // algo = new backend, arg0 = old backend index
   kCount
 };
 

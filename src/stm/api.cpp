@@ -13,7 +13,6 @@
 #include "liveness/contention.hpp"
 #include "liveness/wait_graph.hpp"
 #include "obs/trace.hpp"
-#include "stm/adaptive.hpp"
 #include "stm/backend.hpp"
 #include "stm/control.hpp"
 #include "stm/orec.hpp"
@@ -55,10 +54,9 @@ struct Driver {
 
   static bool active(const Tx& tx) noexcept { return tx.in_tx_; }
 
-  // Obs label index of the backend this transaction is running (begin()
-  // may have re-resolved it after a switch at the serial gate).
+  // Obs label index of the backend this transaction is running.
   static std::uint8_t obs_idx(const Tx& tx) noexcept {
-    return tx.backend_ != nullptr ? tx.backend_->obs_index() : obs::kNoAlgo;
+    return static_cast<std::uint8_t>(tx.algo_);
   }
 
   static Tx::NestedCheckpoint nested_checkpoint(const Tx& tx) {
@@ -231,9 +229,8 @@ struct Driver {
   // Re-enter the registry at a fresh snapshot, drop the reads the lock
   // call made (the caller reads the lock again), and re-validate the rest
   // — the deferred-update argument: the attempt is as if it had started
-  // now. Throws ConflictAbort when it cannot: a kept read changed, a
-  // serial commit landed (those leave no orec trace), or the backend
-  // changed.
+  // now. Throws ConflictAbort when it cannot: a kept read changed, or a
+  // serial commit landed (those leave no orec trace).
   static void resume(Tx& tx, const LockWait& mark) {
     RuntimeState& rt = runtime();
     if (liveness::has_wait_edge()) liveness::clear_wait();
@@ -247,8 +244,7 @@ struct Driver {
     // As at begin(): an owner exiting after this must wake the next park.
     tx.retry_exit_snap_ = thread_exit_count();
     if (rt.serial_commits.load(std::memory_order_acquire) !=
-            tx.retry_serial_snap_ ||
-        rt.active_backend.load(std::memory_order_acquire) != tx.backend_) {
+        tx.retry_serial_snap_) {
       throw ConflictAbort{};
     }
     if (tx.algo_ != Algo::NOrec) {
@@ -276,10 +272,9 @@ struct Driver {
     Exception,      // an exception rolled a speculative attempt back
   };
 
-  // Account one outcome: the stats counter, the obs event, the karma
-  // contention manager and the adaptive controller. `t_attempt` is the
-  // attempt's start when it was traced (0 otherwise); `t_commit` is the
-  // start of its commit phase.
+  // Account one outcome: the stats counter, the obs event and the karma
+  // contention manager. `t_attempt` is the attempt's start when it was
+  // traced (0 otherwise); `t_commit` is the start of its commit phase.
   static void record(Outcome out, const Tx& tx,
                      obs::AbortCause cause = obs::AbortCause::None,
                      std::uint64_t t_attempt = 0,
@@ -297,7 +292,6 @@ struct Driver {
                         : 0);
         }
         liveness::contention().on_commit();
-        adaptive::note_commit();
         return;
       case Outcome::Retry:
         stats().add(Counter::TxRetry);
@@ -309,12 +303,10 @@ struct Driver {
       case Outcome::Conflict:
         stats().add(Counter::TxAbortConflict);
         liveness::contention().on_conflict_abort();
-        adaptive::note_abort(cause);
         break;
       case Outcome::Capacity:
         stats().add(Counter::TxAbortCapacity);
         cause = obs::AbortCause::Capacity;
-        adaptive::note_abort(cause);
         break;
       case Outcome::SerialRestart:
         stats().add(Counter::TxIrrevocable);
@@ -475,7 +467,7 @@ struct Driver {
   // undoing a failed attempt, waiting out a retry() — is in the helpers
   // above; every outcome is accounted by record(). A `publish_only`
   // transaction commits without quiescence (see run_publish).
-  static void run(Tx& tx, FunctionRef<void(Tx&)> body, const Backend* b,
+  static void run(Tx& tx, FunctionRef<void(Tx&)> body, Algo algo,
                   bool publish_only) {
     RuntimeState& rt = runtime();
     const Config& cfg = rt.config;
@@ -485,7 +477,7 @@ struct Driver {
     // gate first. Counted once, however often the gate refuses.
     bool escalated = false;
     bool must_serial = false;  // the body cannot commit speculatively
-    if (b->algo == Algo::CGL) {
+    if (algo == Algo::CGL) {
       mode = Tx::Mode::CGL;
       cgl.lock();  // held across attempts, released at commit
     } else {
@@ -494,17 +486,16 @@ struct Driver {
       // more attempts first.
       escalated = starved_to_serial(cfg);
     }
+    // HTM-like backends exhaust a small hardware-retry budget before
+    // falling back to the serial gate; software backends serialize as
+    // contention management of last resort (paper §2).
+    const bool htm = algo == Algo::HTMSim;
     std::uint32_t attempt = 0;
     Backoff bo;
     for (;;) {
       if (mode != Tx::Mode::CGL) {
-        // HTM-like backends exhaust a small hardware-retry budget before
-        // falling back to the serial gate; software backends serialize as
-        // contention management of last resort (paper §2). Re-derived per
-        // attempt — an adaptive switch may have changed the backend.
         // Privilege is moot inside the serial gate — free the token so
         // another starved thread can use it.
-        const bool htm = b->algo == Algo::HTMSim;
         if (!escalated &&
             attempt >= (htm ? cfg.htm_retries : cfg.serialize_after)) {
           escalated = true;
@@ -536,14 +527,11 @@ struct Driver {
       const bool traced = obs::enabled();
       const std::uint64_t t_attempt = traced ? now_ns() : 0;
       std::uint64_t t_commit = 0;
-      tx.begin(b, mode, ++attempt);
-      // begin() re-resolves the active backend after passing the serial
-      // gate; track what this attempt actually runs.
-      b = tx.backend_;
+      tx.begin(algo, mode, ++attempt);
       if (traced) {
         obs::emit(mode == Tx::Mode::Serial ? obs::EventType::SerialEnter
                                            : obs::EventType::TxBegin,
-                  obs::AbortCause::None, b->obs_index(), 0, attempt);
+                  obs::AbortCause::None, obs_idx(tx), 0, attempt);
       }
       Outcome out = Outcome::Commit;
       obs::AbortCause cause = obs::AbortCause::None;
@@ -592,11 +580,6 @@ struct Driver {
         leave(mode, cgl);
         record(out, tx, cause, t_attempt, t_commit);
         run_epilogues(tx);
-        // Adaptive mode evaluates its window here: fully outside the
-        // transaction, epilogues done, no cross-transaction locks pinned
-        // by this thread unless a deferred op is still in flight
-        // (checked).
-        adaptive::maybe_switch();
         return;
       }
       undo(tx, mode, out);
@@ -701,7 +684,7 @@ void run_atomic(FunctionRef<void(Tx&)> body) {
     return;
   }
   ActivityScope scope;
-  Driver::run(tx, body, active_backend_or_default(), false);
+  Driver::run(tx, body, active_backend_or_default()->algo, false);
 }
 
 bool run_publish(FunctionRef<void(Tx&)> body) {
@@ -712,7 +695,7 @@ bool run_publish(FunctionRef<void(Tx&)> body) {
     return false;
   }
   ActivityScope scope;
-  Driver::run(tx, body, active_backend_or_default(), true);
+  Driver::run(tx, body, active_backend_or_default()->algo, true);
   return true;
 }
 
@@ -726,8 +709,7 @@ void init(const Config& cfg) {
   if (c.htm_retries == 0) c.htm_retries = 1;
   detail::runtime().config = c;
   // Resolve and publish the backend selection (Config::backend name or
-  // ADTM_ALGO; "auto" arms adaptive switching).
-  // Throws std::invalid_argument for an unknown name.
+  // ADTM_ALGO). Throws std::invalid_argument for an unknown name.
   detail::install_backend(c);
   // ADTM_TRACE=1 turns tracing on at the first init. Never turns it off:
   // an explicit obs::enable() (or configure()) outranks the environment.

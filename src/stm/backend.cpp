@@ -6,13 +6,8 @@
 #include <stdexcept>
 #include <string>
 
-#include "common/panic.hpp"
-#include "common/stats.hpp"
 #include "obs/trace.hpp"
-#include "stm/adaptive.hpp"
-#include "stm/api.hpp"
 #include "stm/orec.hpp"
-#include "stm/registry.hpp"
 #include "stm/runtime.hpp"
 
 namespace adtm::stm {
@@ -61,11 +56,10 @@ void unify_serialization_clocks(RuntimeState& rt) noexcept {
   // The version clock (TL2/Eager/HTMSim/2PL commit timestamps) and the
   // NOrec sequence advance independently, yet both feed one downstream
   // serialization order — tmsan's opacity history keys every commit by
-  // whichever clock its backend uses. Callers hold a quiescent point
-  // (the serial gate, or init's no-transactions contract), so jumping
-  // both clocks to a common maximum keeps commit keys monotonic across
-  // a backend change: every post-switch key exceeds every pre-switch
-  // key, whichever family filed it.
+  // whichever clock its backend uses. init() runs with no transactions
+  // in flight, so jumping both clocks to a common maximum keeps commit
+  // keys monotonic across a backend change: every key filed after the
+  // change exceeds every key filed before it, whichever family filed it.
   //
   // The quiescent point, not these orders, is what makes the plain
   // load/store pairs safe: no commit can advance either clock between
@@ -90,12 +84,9 @@ const Backend* install_backend(const Config& cfg) {
   // environment, then the TL2 default. The env knob fills in when the
   // program did not choose — it does not override an explicit selection
   // (a CGL-specific test must stay CGL under `ADTM_ALGO=2pl ctest`).
-  // "auto" arms the adaptive controller and starts on its default
-  // candidate.
   std::string_view name = cfg.backend;
   if (name.empty()) name = runtime_config().algo;
-  const bool adaptive_mode = name == "auto";
-  if (name.empty() || adaptive_mode) name = "tl2";
+  if (name.empty()) name = "tl2";
   const Backend* b = find_backend(name);
   if (b == nullptr) {
     throw std::invalid_argument("stm: unknown backend \"" +
@@ -105,17 +96,15 @@ const Backend* install_backend(const Config& cfg) {
   RuntimeState& rt = runtime();
   unify_serialization_clocks(rt);
   // pairs-with: the acquire loads of active_backend in
-  // active_backend_or_default(), current_backend() and begin()'s
-  // re-resolve: a thread that sees `b` also sees the unified clocks.
+  // active_backend_or_default() and current_backend(): a thread that
+  // sees `b` also sees the unified clocks.
   rt.active_backend.store(b, std::memory_order_seq_cst);
-  adaptive::set_enabled(adaptive_mode);
   return b;
 }
 
 const Backend* active_backend_or_default() {
   RuntimeState& rt = runtime();
-  // pairs-with: the seq_cst store of active_backend in install_backend()
-  // or switch_backend().
+  // pairs-with: the seq_cst store of active_backend in install_backend().
   const Backend* b = rt.active_backend.load(std::memory_order_acquire);
   if (b != nullptr) return b;
   // First transaction before any init(): resolve the default selection
@@ -140,67 +129,8 @@ const Backend* active_backend_or_default() {
 }  // namespace detail
 
 const Backend* current_backend() noexcept {
-  // pairs-with: the seq_cst store in install_backend()/switch_backend().
+  // pairs-with: the seq_cst store in install_backend().
   return detail::runtime().active_backend.load(std::memory_order_acquire);
-}
-
-void switch_backend(const Backend* target) {
-  if (target == nullptr) {
-    throw std::logic_error("switch_backend: null target");
-  }
-  if (in_transaction()) {
-    throw std::logic_error("switch_backend inside a transaction");
-  }
-  if (detail::locker_depth() != 0) {
-    // The serial gate drains cross-transaction lockers; a switcher that
-    // is itself a locker would wedge the gate against its own hold.
-    throw std::logic_error(
-        "switch_backend while holding a cross-transaction lock");
-  }
-  detail::RuntimeState& rt = detail::runtime();
-  // pairs-with: the seq_cst store in install_backend()/switch_backend().
-  const Backend* cur = rt.active_backend.load(std::memory_order_acquire);
-  if (cur == target) return;
-  if (target->algo == Algo::CGL ||
-      (cur != nullptr && cur->algo == Algo::CGL)) {
-    // CGL transactions serialize on their own mutex, not the serial
-    // gate, so the gate cannot drain them: CGL is an init-time-only
-    // choice.
-    throw std::logic_error(
-        "switch_backend: direct-mode backends (CGL) cannot be switched "
-        "at runtime; use stm::init with no transactions in flight");
-  }
-  // Not a locker (checked above), so a `must` entry is always admitted.
-  const detail::GateEntry entry = detail::acquire_serial_gate(true);
-  ADTM_INVARIANT(entry == detail::GateEntry::Acquired,
-                 "switch_backend refused at the serial gate");
-  // The gate has drained every speculative transaction and rival
-  // cross-transaction locker: nothing is running the old backend, and
-  // transactions parked at the gate re-resolve after it opens.
-  // pairs-with: a rival switch's seq_cst store, ordered before its gate
-  // release, which our gate CAS acquired.
-  cur = rt.active_backend.load(std::memory_order_acquire);
-  if (cur != target) {
-    detail::unify_serialization_clocks(rt);
-    // pairs-with: begin()'s re-resolve load and Driver::resume()'s
-    // check (tx.cpp, api.cpp), through the release_serial_gate() store
-    // below and registry_enter()'s acquire of the open gate.
-    rt.active_backend.store(target, std::memory_order_seq_cst);
-    stats().add(Counter::BackendSwitches);
-    obs::emit(obs::EventType::BackendSwitch, obs::AbortCause::None,
-              target->obs_index(),
-              cur != nullptr ? cur->obs_index() : obs::kNoAlgo);
-  }
-  detail::release_serial_gate();
-}
-
-void switch_backend(std::string_view id_or_name) {
-  const Backend* target = find_backend(id_or_name);
-  if (target == nullptr) {
-    throw std::invalid_argument("switch_backend: unknown backend \"" +
-                                std::string(id_or_name) + "\"");
-  }
-  switch_backend(target);
 }
 
 }  // namespace adtm::stm

@@ -6,21 +6,11 @@
 // htmsim, norec, 2pl — which test parameter names, bench matrices and
 // obs labels depend on; a backend's index in it is its Algo value.
 //
-// Selection:
-//   stm::Config::backend names a backend id ("tl2", "2pl", ..., or
-//   "auto" for adaptive switching); ADTM_ALGO does the same from the
-//   environment.
-//
-// Runtime switching:
-//   switch_backend() swaps the active backend at a quiescent point: it
-//   acquires the serial gate (draining every speculative transaction and
-//   cross-transaction locker), publishes the new descriptor, emits an
-//   obs backend-switch event, and releases the gate. Transactions that
-//   were parked at the gate re-resolve the backend when they enter, so
-//   no transaction ever runs with a torn algorithm choice. CGL is
-//   excluded from runtime switching — CGL transactions serialize on
-//   their own mutex, not the gate, so the gate cannot drain them; CGL
-//   remains an init-time-only choice.
+// Selection is an init-time choice: stm::Config::backend names a backend
+// id or display name ("tl2", "2pl", ...); ADTM_ALGO does the same from
+// the environment. A transaction runs the backend that was active when
+// it started, for every attempt; only stm::init, with no transactions in
+// flight, changes it (e.g. between bench phases).
 #pragma once
 
 #include <atomic>
@@ -82,20 +72,11 @@ const Backend* find_backend(std::string_view id_or_name) noexcept;
 // The currently active backend (what new transactions will run).
 const Backend* current_backend() noexcept;
 
-// Swap the active backend at a quiescent point (see file comment).
-// Throws std::logic_error for a CGL source or target, or a null target.
-// No-op when the target is already active. Callers must not hold
-// cross-transaction locks (TxLockGuard / in-flight deferred op) — the
-// serial gate drains those.
-void switch_backend(const Backend* target);
-void switch_backend(std::string_view id_or_name);
-
 namespace detail {
 
 // Resolve `cfg`'s backend selection (Config::backend, then ADTM_ALGO,
-// then TL2; "auto" arms the adaptive controller) and
-// publish it as the active backend. Throws std::invalid_argument for an
-// unknown name. Called by init().
+// then TL2) and publish it as the active backend. Throws
+// std::invalid_argument for an unknown name. Called by init().
 const Backend* install_backend(const Config& cfg);
 
 // The active backend, resolving the default selection exactly once if

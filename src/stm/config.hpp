@@ -11,10 +11,9 @@ namespace adtm::stm {
 
 struct Config {
   // STM backend by id ("tl2", "eager", "cgl", "htmsim", "norec", "2pl")
-  // or display name, or "auto" for adaptive runtime switching. When empty,
-  // ADTM_ALGO (adtm::RuntimeConfig::algo) fills in, then the TL2 default
-  // — the env knob does not override an explicit selection. Unknown
-  // names make init() throw.
+  // or display name. When empty, ADTM_ALGO (adtm::RuntimeConfig::algo)
+  // fills in, then the TL2 default — the env knob does not override an
+  // explicit selection. Unknown names make init() throw.
   std::string backend;
 
   // Attempts before a transaction escalates to serial-irrevocable mode

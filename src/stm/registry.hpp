@@ -115,10 +115,10 @@ class SpinWindow {
 
 // Acquire/release of the serial gate. `must` says the caller cannot make
 // progress without serial mode (become_irrevocable, an HTM capacity
-// overflow, a backend switch); otherwise it only escalates as contention
-// management. The gate is Acquired once all other speculative
-// transactions and all other threads' cross-transaction holds have
-// drained; only a `must` caller waits for holds. Without the gate:
+// overflow); otherwise it only escalates as contention management. The
+// gate is Acquired once all other speculative transactions and all other
+// threads' cross-transaction holds have drained; only a `must` caller
+// waits for holds. Without the gate:
 //  * Refused: the caller need not run serially and would wait for a hold.
 //    Either it holds locks itself and a `must` writer has the gate (that
 //    writer waits for those very holds), or other threads hold locks. A

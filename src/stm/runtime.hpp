@@ -18,10 +18,9 @@ struct RuntimeState {
   Config config{};
 
   // The backend new transactions run (stm/backend.hpp). Published by
-  // init() and switch_backend(); Tx::begin re-resolves it after passing
-  // the serial gate, so a switch completed while a transaction was parked
-  // at the gate takes effect before its first barrier. Null until the
-  // first init() (run_atomic lazily resolves the default then).
+  // init(), with no transactions in flight; a transaction reads it once,
+  // when it starts. Null until the first init() (run_atomic lazily
+  // resolves the default then).
   std::atomic<const Backend*> active_backend{nullptr};
 
   // CGL algorithm: the single global lock, plus a broadcast channel that

@@ -46,12 +46,10 @@ std::uint64_t norec_snapshot() noexcept {
 
 }  // namespace
 
-void Tx::begin(const Backend* backend, Mode mode, std::uint32_t attempt) {
+void Tx::begin(Algo algo, Mode mode, std::uint32_t attempt) {
   ADTM_INVARIANT(!in_tx_, "begin() on an active transaction");
-  ADTM_INVARIANT(backend != nullptr, "begin() without a backend");
   mode_ = mode;
-  backend_ = backend;
-  algo_ = backend->algo;
+  algo_ = algo;
   attempt_ = attempt;
   tid_ = thread_id();
   commit_ts_ = 0;
@@ -71,24 +69,12 @@ void Tx::begin(const Backend* backend, Mode mode, std::uint32_t attempt) {
     if (priority_) liveness::contention().set_priority_attempt(true);
     start_ = (algo_ == Algo::NOrec) ? norec_snapshot() : clock_now();
     detail::registry_enter(start_);
-  } else {
-    priority_ = false;
-  }
-  // registry_enter (or, in serial mode, the caller's acquire of the serial
-  // gate) may have waited for a serial writer — which may have been
-  // switch_backend() swapping the active backend at the gate. Re-resolve
-  // so this attempt runs, and is recorded under, the post-switch algorithm.
-  const Backend* cur =
-      detail::runtime().active_backend.load(std::memory_order_acquire);
-  if (cur != nullptr && cur != backend_) {
-    backend_ = cur;
-    algo_ = cur->algo;
-  }
-  if (mode_ == Mode::Speculative) {
-    // Refresh the snapshot so we do not start in the past relative to the
-    // writer's effects.
+    // registry_enter may have waited for a serial writer: refresh the
+    // snapshot so we do not start in the past relative to its effects.
     start_ = (algo_ == Algo::NOrec) ? norec_snapshot() : clock_now();
     detail::my_slot().active_since.store(start_, std::memory_order_seq_cst);
+  } else {
+    priority_ = false;
   }
   // Snapshot for retry's serial-commit watch: taken before any read so a
   // serial commit overlapping this attempt always wakes the waiter.

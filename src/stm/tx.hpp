@@ -72,8 +72,7 @@ class Tx {
 
   // Per-attempt state.
   Mode mode_ = Mode::Speculative;
-  Algo algo_ = Algo::TL2;             // backend_->algo (the dispatch key)
-  const Backend* backend_ = nullptr;  // resolved descriptor for this attempt
+  Algo algo_ = Algo::TL2;  // the dispatch key, fixed for the transaction
   std::uint64_t start_ = 0;  // snapshot timestamp
   // Timestamp a writer commit published at; 0 for a read-only or
   // direct-mode commit. The driver quiesces against it.
@@ -113,7 +112,7 @@ class Tx {
   std::vector<std::uint16_t> twopl_held_;
 
   // --- algorithm steps (tx.cpp) ---
-  void begin(const Backend* backend, Mode mode, std::uint32_t attempt);
+  void begin(Algo algo, Mode mode, std::uint32_t attempt);
   void commit();                  // may throw ConflictAbort
   void rollback() noexcept;       // undo speculation, release locks, leave
   void capture_watch();           // snapshot read set for retry waiting

@@ -1,7 +1,5 @@
 // The backend table: enumeration order, lookup, each backend's Algo,
-// the lazy default resolution, and the serial-gate switch_backend
-// contract (error cases here; switching under load lives in
-// adaptive_switch_test.cpp).
+// the lazy default resolution and init-time selection.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -38,8 +36,6 @@ TEST(BackendRegistry, FindMatchesIdAndDisplayName) {
   EXPECT_NE(stm::find_backend("2pl"), nullptr);
   EXPECT_EQ(stm::find_backend("no-such-backend"), nullptr);
   EXPECT_EQ(stm::find_backend(""), nullptr);
-  // "auto" is a Config::backend selector, not a registered backend.
-  EXPECT_EQ(stm::find_backend("auto"), nullptr);
 }
 
 TEST(BackendRegistry, CapabilityFlags) {
@@ -75,9 +71,9 @@ TEST(BackendRegistry, LazyDefaultResolvesOnceForRacingFirstTransactions) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(counter.load_direct(), kThreads * kIncrements);
-  // The default: ADTM_ALGO when set (and not "auto"), else TL2.
+  // The default: ADTM_ALGO when set, else TL2.
   std::string_view expected = runtime_config().algo;
-  if (expected.empty() || expected == "auto") expected = "tl2";
+  if (expected.empty()) expected = "tl2";
   EXPECT_EQ(stm::current_backend(), stm::find_backend(expected));
 }
 
@@ -86,50 +82,17 @@ TEST(BackendRegistry, ConfigSelectionByNameAndError) {
   EXPECT_STREQ(stm::current_backend()->id, "eager");
   stm::init({.backend = "2PL"});  // display names work too
   EXPECT_STREQ(stm::current_backend()->id, "2pl");
-  EXPECT_THROW(stm::init({.backend = "bogus"}), std::invalid_argument);
-  stm::init({.backend = "tl2"});
-}
-
-TEST(BackendRegistry, SwitchSwapsBackendAndCounts) {
-  stm::init({.backend = "tl2"});
-  stats().reset();
-  stm::tvar<int> x{0};
-  stm::atomic([&](stm::Tx& tx) { x.set(tx, 1); });
-
-  stm::switch_backend("2pl");
-  EXPECT_STREQ(stm::current_backend()->id, "2pl");
-  EXPECT_EQ(stats().total(Counter::BackendSwitches), 1u);
-  stm::atomic([&](stm::Tx& tx) { x.set(tx, x.get(tx) + 1); });
-  EXPECT_EQ(x.load_direct(), 2);
-
-  // Switching to the already-active backend is a no-op.
-  stm::switch_backend("2pl");
-  EXPECT_EQ(stats().total(Counter::BackendSwitches), 1u);
-
-  stm::switch_backend("tl2");
-  EXPECT_STREQ(stm::current_backend()->id, "tl2");
-  EXPECT_EQ(stats().total(Counter::BackendSwitches), 2u);
-}
-
-TEST(BackendRegistry, SwitchErrorCases) {
-  stm::init({.backend = "tl2"});
-  EXPECT_THROW(stm::switch_backend(nullptr), std::logic_error);
-  EXPECT_THROW(stm::switch_backend("no-such"), std::invalid_argument);
-  // Direct-mode target: CGL transactions bypass the serial gate, so the
-  // gate cannot make the swap quiescent.
-  EXPECT_THROW(stm::switch_backend("cgl"), std::logic_error);
-
-  // From inside a transaction the calling thread can never drain itself.
-  stm::tvar<int> x{0};
-  EXPECT_THROW(stm::atomic([&](stm::Tx& tx) {
-                 x.set(tx, 1);
-                 stm::switch_backend("eager");
-               }),
-               std::logic_error);
-
-  // Direct-mode source: same drain problem in the other direction.
-  stm::init({.backend = "cgl"});
-  EXPECT_THROW(stm::switch_backend("tl2"), std::logic_error);
+  for (const char* unknown : {"bogus", "auto"}) {
+    EXPECT_THROW(stm::init({.backend = unknown}), std::invalid_argument)
+        << unknown;
+    // ADTM_ALGO takes the same names.
+    const RuntimeConfig saved = runtime_config();
+    RuntimeConfig env = saved;
+    env.algo = unknown;
+    configure(env);
+    EXPECT_THROW(stm::init({}), std::invalid_argument) << unknown;
+    configure(saved);
+  }
   stm::init({.backend = "tl2"});
 }
 

@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "stm/orec.hpp"
+#include "stm/runtime.hpp"
 #include "stm/tvar.hpp"
 #include "support/algo_param.hpp"
 #include "tmsan/tmsan.hpp"
@@ -96,6 +98,44 @@ TEST_P(OpacityStressTest, ConflictingSchedulesStayOpaque) {
 
 INSTANTIATE_TEST_SUITE_P(AllAlgos, OpacityStressTest, test::AllAlgos(),
                          test::algo_param_name);
+
+// stm::init between phases changes which clock keys the opacity history:
+// the version clock under TL2, the NOrec sequence under NOrec. init lifts
+// both to one even value, so every commit after the change keys above
+// every commit before it. Each phase commits one write, reads that word
+// together with one the last phase wrote at its highest key, then runs
+// its own clock up. Were the first write keyed below the last phase's,
+// no point in key order would hold both values the read saw, and the
+// checker would report it.
+TEST(BackendChangeOpacity, Tl2NorecTl2KeepsCommitKeysMonotonic) {
+  tmsan::disable(tmsan::kCheckAll);
+  tmsan::reset();
+  tmsan::enable(tmsan::kCheckOpacity);
+  static stm::tvar<std::uint64_t> fresh{0}, stale{0};
+  std::uint64_t next = 1;  // every write is unique
+  for (const char* backend : {"tl2", "norec", "tl2"}) {
+    stm::init({.backend = backend});
+    const std::uint64_t clock =
+        stm::detail::g_clock->load(std::memory_order_relaxed);
+    const std::uint64_t seq =
+        stm::detail::runtime().norec_seq.load(std::memory_order_relaxed);
+    EXPECT_EQ(clock, seq) << backend;
+    EXPECT_EQ(clock % 2, 0u) << backend;
+    stm::atomic([&](stm::Tx& tx) { fresh.set(tx, next++); });
+    stm::atomic([&](stm::Tx& tx) {
+      (void)fresh.get(tx);
+      (void)stale.get(tx);
+    });
+    for (int i = 0; i < 32; ++i) {
+      stm::atomic([&](stm::Tx& tx) { fresh.set(tx, next++); });
+    }
+    stm::atomic([&](stm::Tx& tx) { stale.set(tx, next++); });
+  }
+  EXPECT_EQ(tmsan::violation_count(), 0u) << tmsan::report();
+  tmsan::disable(tmsan::kCheckAll);
+  tmsan::reset();
+  stm::init({.backend = "tl2"});
+}
 
 }  // namespace
 }  // namespace adtm

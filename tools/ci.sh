@@ -42,12 +42,6 @@ build/tools/txsafety all --quiet
 stage "tmsan-armed sanitize suite (ADTM_TMSAN=1 ADTM_TMSAN_OPACITY=1)"
 ctest --preset tmsan -j "$JOBS"
 
-# --- adaptive switching: the controller + mid-load switch stress -------------
-# Serial: the suite measures decision windows against wall-clock, and a
-# rival test stealing the core starves the storm it is trying to observe.
-stage "adaptive backend switching (tmsan-armed)"
-ctest --preset adaptive
-
 # --- crash torture: fork/kill/recover over every registered crash point -----
 # The children run tmsan-armed with sampled stack capture (the preset sets
 # ADTM_TMSAN_STACK_SAMPLE), so a clean run also vouches for the deferral
