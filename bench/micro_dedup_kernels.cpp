@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <vector>
 
 #include "dedup/dedup.hpp"
 #include "stm/api.hpp"
@@ -51,6 +52,25 @@ void BM_LzssCompress(benchmark::State& state) {
                           static_cast<std::int64_t>(input.size()));
 }
 BENCHMARK(BM_LzssCompress);
+
+// The pipeline's shape: one lzss_compress call per content-defined chunk
+// (about 5 KiB each), so per-call setup counts as it does in dedup.
+void BM_LzssCompressChunks(benchmark::State& state) {
+  const std::string& input = sample_input();
+  const std::vector<std::size_t> lengths =
+      dedup::chunk_lengths(as_bytes(input));
+  for (auto _ : state) {
+    std::size_t offset = 0;
+    for (const std::size_t len : lengths) {
+      benchmark::DoNotOptimize(
+          dedup::lzss_compress(as_bytes(input).subspan(offset, len)));
+      offset += len;
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(input.size()));
+}
+BENCHMARK(BM_LzssCompressChunks);
 
 void BM_LzssDecompress(benchmark::State& state) {
   const std::string& input = sample_input();

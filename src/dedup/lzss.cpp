@@ -1,6 +1,9 @@
 #include "dedup/lzss.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 
 namespace adtm::dedup {
@@ -18,10 +21,34 @@ constexpr std::size_t kHashBits = 15;
 constexpr std::size_t kHashSize = std::size_t{1} << kHashBits;
 constexpr std::size_t kMaxChainSteps = 32;  // match-finder effort bound
 
+constexpr std::uint32_t kNoPos = 0xFFFFFFFFu;  // empty head/chain slot
+
 std::uint32_t hash4(const std::uint8_t* p) noexcept {
   std::uint32_t v;
   std::memcpy(&v, p, 4);
   return (v * 2654435761u) >> (32 - kHashBits);
+}
+
+// Length of the common prefix of a and b, at most max_len bytes, compared
+// a word at a time.
+std::size_t match_length(const std::uint8_t* a, const std::uint8_t* b,
+                         std::size_t max_len) noexcept {
+  std::size_t len = 0;
+  while (len + 8 <= max_len) {
+    std::uint64_t x, y;
+    std::memcpy(&x, a + len, 8);
+    std::memcpy(&y, b + len, 8);
+    if (const std::uint64_t diff = x ^ y; diff != 0) {
+      // The first differing byte is the lowest-addressed one.
+      const int bits = std::endian::native == std::endian::little
+                           ? std::countr_zero(diff)
+                           : std::countl_zero(diff);
+      return len + static_cast<std::size_t>(bits / 8);
+    }
+    len += 8;
+  }
+  while (len < max_len && a[len] == b[len]) ++len;
+  return len;
 }
 
 }  // namespace
@@ -29,6 +56,10 @@ std::uint32_t hash4(const std::uint8_t* p) noexcept {
 std::vector<std::byte> lzss_compress(std::span<const std::byte> input) {
   const auto* data = reinterpret_cast<const std::uint8_t*>(input.data());
   const std::size_t n = input.size();
+  // The header holds n in 32 bits, and positions are stored in 32 bits.
+  if (n > 0xFFFFFFFFu) {
+    throw std::length_error("lzss: input of 4 GiB or more");
+  }
 
   std::vector<std::byte> out;
   out.reserve(n / 2 + 16);
@@ -41,9 +72,16 @@ std::vector<std::byte> lzss_compress(std::span<const std::byte> input) {
   put(static_cast<std::uint8_t>(n >> 24));
 
   // head[h]: most recent position with hash h; chain[i % kWindow]: previous
-  // position with the same hash as position i.
-  std::vector<std::int64_t> head(kHashSize, -1);
-  std::vector<std::int64_t> chain(kWindow, -1);
+  // position with the same hash as position i. A chain slot is only read
+  // for a position already inserted, so it needs no initial fill.
+  std::vector<std::uint32_t> head(kHashSize, kNoPos);
+  const auto chain =
+      std::make_unique_for_overwrite<std::uint32_t[]>(std::min(n, kWindow));
+  const auto insert = [&](std::size_t pos) {
+    const std::uint32_t h = hash4(data + pos);
+    chain[pos % kWindow] = head[h];
+    head[h] = static_cast<std::uint32_t>(pos);
+  };
 
   std::size_t flag_pos = 0;  // index of the current flag byte in `out`
   int tokens_in_group = 8;   // forces a fresh flag byte at the start
@@ -62,26 +100,29 @@ std::vector<std::byte> lzss_compress(std::span<const std::byte> input) {
     ++tokens_in_group;
   };
 
+  // Positions from which a 4-byte hash can be read.
+  const std::size_t hashable = n >= kMinMatch ? n - kMinMatch + 1 : 0;
   std::size_t i = 0;
   while (i < n) {
     std::size_t best_len = 0;
     std::size_t best_off = 0;
-    if (i + kMinMatch <= n) {
-      const std::uint32_t h = hash4(data + i);
-      std::int64_t cand = head[h];
+    if (i < hashable) {
+      std::size_t cand = head[hash4(data + i)];
       std::size_t steps = 0;
       const std::size_t max_len = std::min(kMaxMatch, n - i);
-      while (cand >= 0 && steps < kMaxChainSteps &&
-             i - static_cast<std::size_t>(cand) <= kWindow) {
-        const auto c = static_cast<std::size_t>(cand);
-        std::size_t len = 0;
-        while (len < max_len && data[c + len] == data[i + len]) ++len;
-        if (len > best_len) {
-          best_len = len;
-          best_off = i - c;
-          if (len == max_len) break;
+      // kNoPos is above every position, so i - kNoPos wraps past kWindow
+      // and ends the walk like an out-of-window candidate.
+      while (steps < kMaxChainSteps && i - cand <= kWindow) {
+        // A candidate that differs at byte best_len cannot be longer.
+        if (data[cand + best_len] == data[i + best_len]) {
+          const std::size_t len = match_length(data + cand, data + i, max_len);
+          if (len > best_len) {
+            best_len = len;
+            best_off = i - cand;
+            if (len == max_len) break;
+          }
         }
-        cand = chain[c % kWindow];
+        cand = chain[cand % kWindow];
         ++steps;
       }
     }
@@ -95,22 +136,12 @@ std::vector<std::byte> lzss_compress(std::span<const std::byte> input) {
       // Index every covered position so later matches can reach into this
       // region.
       const std::size_t end = i + best_len;
-      while (i < end) {
-        if (i + kMinMatch <= n) {
-          const std::uint32_t h = hash4(data + i);
-          chain[i % kWindow] = head[h];
-          head[h] = static_cast<std::int64_t>(i);
-        }
-        ++i;
-      }
+      for (; i < std::min(end, hashable); ++i) insert(i);
+      i = end;
     } else {
       begin_token(false);
       put(data[i]);
-      if (i + kMinMatch <= n) {
-        const std::uint32_t h = hash4(data + i);
-        chain[i % kWindow] = head[h];
-        head[h] = static_cast<std::int64_t>(i);
-      }
+      if (i < hashable) insert(i);
       ++i;
     }
   }

@@ -18,7 +18,8 @@ namespace adtm::dedup {
 
 // Compress `input`; the output begins with the uncompressed size (u32 LE),
 // so decompression can pre-allocate. Worst-case expansion is bounded by
-// ~1/8 overhead plus the 4-byte header.
+// ~1/8 overhead plus the 4-byte header. Throws std::length_error for an
+// input of 4 GiB or more, whose size the header cannot hold.
 std::vector<std::byte> lzss_compress(std::span<const std::byte> input);
 
 // Inverse of lzss_compress. Throws std::runtime_error on malformed input.

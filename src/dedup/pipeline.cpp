@@ -107,12 +107,15 @@ void worker_loop(PipelineCtx& ctx) {
       pkt->frag = frag.seq;
       pkt->idx = static_cast<std::uint32_t>(i);
       pkt->last_in_frag = (i + 1 == lengths.size());
-      pkt->data.assign(frag.bytes.subspan(offset, lengths[i]));
+      const std::span<const std::byte> bytes =
+          frag.bytes.subspan(offset, lengths[i]);
+      pkt->data.assign(bytes);
       offset += lengths[i];
 
-      // Fingerprint, then the Deduplicate stage's critical section.
-      const std::vector<std::byte> raw = pkt->data.read_direct();
-      pkt->digest = sha1(std::span<const std::byte>(raw));
+      // Fingerprint, then the Deduplicate stage's critical section. No
+      // other thread has the packet yet, so its buffer holds exactly
+      // `bytes`: hash those instead of a read_direct() copy.
+      pkt->digest = sha1(bytes);
       const auto [entry, inserted] = ctx.store.lookup_or_insert(pkt->digest);
       pkt->entry = entry;
       pkt->compressor = inserted;

@@ -1,5 +1,7 @@
 #include "dedup/rabin.hpp"
 
+#include <algorithm>
+
 namespace adtm::dedup {
 namespace {
 
@@ -16,6 +18,37 @@ std::uint64_t pow_prime(std::size_t e) noexcept {
     e >>= 1;
   }
   return r;
+}
+
+// Length of the chunk that starts at `b`, with `rem` bytes left: the first
+// length L >= min_chunk whose fingerprint matches, else max_chunk (at least
+// one byte), else rem. The fingerprint after L bytes covers only the last
+// min(L, w) of them, so rolling starts w bytes before the first tested
+// length, straight over the input: the byte leaving the window is b[p - w].
+std::size_t cut_length(const std::uint8_t* b, std::size_t rem,
+                       const ChunkParams& params, std::size_t w,
+                       std::uint64_t leave_weight) noexcept {
+  const std::size_t hard =
+      std::min(std::max<std::size_t>(params.max_chunk, 1), rem);
+  const std::size_t first = std::max<std::size_t>(params.min_chunk, 1);
+  if (first >= hard) return hard;
+
+  std::size_t p = first > w ? first - w : 0;
+  std::uint64_t fp = 0;
+  // Filling the window: no byte leaves yet.
+  for (const std::size_t fill_end = std::min(p + w, hard - 1); p < fill_end;
+       ++p) {
+    fp = fp * kPrime + (std::uint64_t{b[p]} + 1);
+    if (p + 1 >= first && (fp & params.mask) == params.magic) return p + 1;
+  }
+  for (; p + 1 < hard; ++p) {
+    // (fp - (out + 1) * P^(w-1)) * P + (in + 1), with the leaving byte's
+    // term off the fp dependency chain.
+    fp = fp * kPrime + ((std::uint64_t{b[p]} + 1) -
+                        (std::uint64_t{b[p - w]} + 1) * leave_weight);
+    if ((fp & params.mask) == params.magic) return p + 1;
+  }
+  return hard;
 }
 
 }  // namespace
@@ -40,7 +73,7 @@ std::uint64_t RabinRoller::roll(std::uint8_t in) noexcept {
     ++filled_;
   }
   win_[pos_] = in;
-  pos_ = (pos_ + 1) % win_.size();
+  if (++pos_ == win_.size()) pos_ = 0;
   // +1 biases away from the all-zeros fixed point (runs of 0x00 would
   // otherwise keep fp == 0 forever and either always or never match).
   fp_ = fp_ * kPrime + (static_cast<std::uint64_t>(in) + 1);
@@ -49,29 +82,18 @@ std::uint64_t RabinRoller::roll(std::uint8_t in) noexcept {
 
 std::vector<std::size_t> chunk_lengths(std::span<const std::byte> data,
                                        const ChunkParams& params) {
+  const auto* b = reinterpret_cast<const std::uint8_t*>(data.data());
+  const std::size_t w = params.window == 0 ? 1 : params.window;
+  const std::uint64_t leave_weight = pow_prime(w - 1) * kPrime;
   std::vector<std::size_t> lengths;
-  if (data.empty()) return lengths;
-
-  RabinRoller roller(params.window);
-  std::size_t chunk_start = 0;
-  std::size_t i = 0;
-  while (i < data.size()) {
-    const std::uint64_t fp = roller.roll(static_cast<std::uint8_t>(data[i]));
-    ++i;
-    const std::size_t len = i - chunk_start;
-    const bool at_boundary =
-        len >= params.min_chunk && (fp & params.mask) == params.magic;
-    if (at_boundary || len >= params.max_chunk) {
-      lengths.push_back(len);
-      chunk_start = i;
-      // Restart the window so each chunk's boundaries depend only on its
-      // own content — required for identical chunks to split identically
-      // wherever they appear.
-      roller.reset();
-    }
-  }
-  if (chunk_start < data.size()) {
-    lengths.push_back(data.size() - chunk_start);
+  // Each chunk's boundaries depend only on its own content (the window
+  // restarts at every cut), so identical chunks split identically
+  // wherever they appear.
+  for (std::size_t start = 0; start < data.size();) {
+    const std::size_t len =
+        cut_length(b + start, data.size() - start, params, w, leave_weight);
+    lengths.push_back(len);
+    start += len;
   }
   return lengths;
 }

@@ -3,10 +3,11 @@
 //
 // PARSEC dedup's FragmentRefine stage splits coarse fragments into
 // variable-size chunks at content-defined boundaries so that identical
-// content produces identical chunks regardless of alignment. We use the
-// classic table-driven Rabin fingerprint over a sliding window: a boundary
-// is declared where (fingerprint & mask) == magic, subject to minimum and
-// maximum chunk sizes.
+// content produces identical chunks regardless of alignment. We use a
+// Karp–Rabin polynomial rolling hash mod 2^64 over a sliding window (pure
+// multiply-add, no lookup table): a boundary is declared where
+// (fingerprint & mask) == magic, subject to minimum and maximum chunk
+// sizes.
 #pragma once
 
 #include <cstddef>
@@ -47,6 +48,9 @@ class RabinRoller {
 
 // Split `data` into chunk lengths summing to data.size(). Deterministic
 // for given params; identical byte sequences produce identical splits.
+// The cuts are those of rolling every byte through a RabinRoller that is
+// reset at each cut: a cut where len >= min_chunk and
+// (fingerprint & mask) == magic, or where len reaches max_chunk.
 std::vector<std::size_t> chunk_lengths(std::span<const std::byte> data,
                                        const ChunkParams& params = {});
 

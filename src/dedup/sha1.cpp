@@ -10,6 +10,12 @@ constexpr std::uint32_t rotl32(std::uint32_t x, int k) noexcept {
   return (x << k) | (x >> (32 - k));
 }
 
+// Compilers turn this into one load plus a byte swap (bswap/movbe on x86).
+std::uint32_t load_be32(const std::uint8_t* p) noexcept {
+  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
+}
+
 }  // namespace
 
 std::uint64_t Sha1Digest::prefix64() const noexcept {
@@ -40,40 +46,37 @@ void Sha1::reset() noexcept {
 }
 
 void Sha1::process_block(const std::uint8_t* block) noexcept {
-  std::uint32_t w[80];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (std::uint32_t{block[i * 4]} << 24) |
-           (std::uint32_t{block[i * 4 + 1]} << 16) |
-           (std::uint32_t{block[i * 4 + 2]} << 8) |
-           std::uint32_t{block[i * 4 + 3]};
-  }
-  for (int i = 16; i < 80; ++i) {
-    w[i] = rotl32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-  }
+  // The message schedule lives in a 16-word ring: w[t] for t >= 16 only
+  // needs w[t-3], w[t-8], w[t-14] and w[t-16], which is the slot it
+  // overwrites.
+  std::uint32_t w[16];
+  for (int t = 0; t < 16; ++t) w[t] = load_be32(block + 4 * t);
+  const auto schedule = [&w](int t) noexcept {
+    std::uint32_t& slot = w[t & 15];
+    slot = rotl32(w[(t + 13) & 15] ^ w[(t + 8) & 15] ^ w[(t + 2) & 15] ^ slot,
+                  1);
+    return slot;
+  };
 
   std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  for (int i = 0; i < 80; ++i) {
-    std::uint32_t f, k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5A827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    const std::uint32_t tmp = rotl32(a, 5) + f + e + k + w[i];
+  const auto step = [&](std::uint32_t f, std::uint32_t k,
+                        std::uint32_t wt) noexcept {
+    const std::uint32_t tmp = rotl32(a, 5) + f + e + k + wt;
     e = d;
     d = c;
     c = rotl32(b, 30);
     b = a;
     a = tmp;
+  };
+  // Four groups of 20 rounds, each with its own round function.
+  int t = 0;
+  for (; t < 16; ++t) step(d ^ (b & (c ^ d)), 0x5A827999u, w[t]);
+  for (; t < 20; ++t) step(d ^ (b & (c ^ d)), 0x5A827999u, schedule(t));
+  for (; t < 40; ++t) step(b ^ c ^ d, 0x6ED9EBA1u, schedule(t));
+  for (; t < 60; ++t) {
+    step((b & c) | (d & (b | c)), 0x8F1BBCDCu, schedule(t));
   }
+  for (; t < 80; ++t) step(b ^ c ^ d, 0xCA62C1D6u, schedule(t));
   h_[0] += a;
   h_[1] += b;
   h_[2] += c;
@@ -108,18 +111,20 @@ void Sha1::update(const void* data, std::size_t len) noexcept {
 
 Sha1Digest Sha1::finish() noexcept {
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(&pad, 1);
-  const std::uint8_t zero = 0;
-  while (buffered_ != 56) update(&zero, 1);
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  // Pad in place: 0x80, zeros up to byte 56 of a block (spilling into a
+  // second block when fewer than 9 bytes are left), then the bit length.
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_ + buffered_, 0, sizeof(buffer_) - buffered_);
+    process_block(buffer_);
+    buffered_ = 0;
   }
-  // Bypass total_len_ accounting for the length field itself (it is
-  // already included in bit_len captured above, and update() counting it
-  // is harmless since we are done), then flush.
-  update(len_be, 8);
+  std::memset(buffer_ + buffered_, 0, 56 - buffered_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  process_block(buffer_);
+  buffered_ = 0;
 
   Sha1Digest digest;
   for (int i = 0; i < 5; ++i) {

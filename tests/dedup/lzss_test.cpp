@@ -2,7 +2,9 @@
 #include "dedup/lzss.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <stdexcept>
 #include <string>
 #include <tuple>
 
@@ -92,6 +94,19 @@ TEST(LzssErrors, CorruptOffsetThrows) {
   c += static_cast<char>(0xff);             // offset hi -> off=65536
   c += static_cast<char>(0x00);             // len = kMinMatch
   EXPECT_THROW(lzss_decompress_str(c), std::runtime_error);
+}
+
+TEST(LzssErrors, InputOf4GiBOrMoreThrowsLengthError) {
+  // The header holds the size in 32 bits, so 2^32 + 1 bytes would read
+  // back as 1. The span covers an inaccessible, uncommitted mapping: the
+  // size check must come before any byte is read.
+  const std::size_t n = (std::size_t{1} << 32) + 1;
+  void* p = mmap(nullptr, n, PROT_NONE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  ASSERT_NE(p, MAP_FAILED);
+  EXPECT_THROW(lzss_compress({static_cast<const std::byte*>(p), n}),
+               std::length_error);
+  munmap(p, n);
 }
 
 // Property sweep: round trip across sizes and seeds.
