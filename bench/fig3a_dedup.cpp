@@ -10,11 +10,16 @@
 //
 // STM = TL2; HTM = the simulated best-effort HTM (capacity-limited, retry
 // budget 2, serial fallback). Input is synthetic (see DESIGN.md); size via
-// ADTM_DEDUP_MB (default 2 MiB). Expected shape from the paper: the TM
+// ADTM_DEDUP_MB (default 4 MiB). Expected shape from the paper: the TM
 // baselines degrade (serialization in HTM, quiescence drag in STM); DeferIO
 // removes the irrevocability collapse; DeferAll is competitive with
 // pthread locks (~1.7x over STM baseline, ~2.7x over HTM baseline there).
+//
+// Every run fsyncs every 16 records. A second table gives each cell's
+// fsync count and the seconds spent inside fsync, so the disk's share of
+// a cell can be read beside its time.
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.hpp"
 #include "common/env.hpp"
@@ -33,8 +38,8 @@ struct Series {
   const char* backend;  // backend id; ignored for Pthread
 };
 
-double run_one(const std::string& input, const Series& series,
-               unsigned workers) {
+dedup::PipelineStats run_one(const std::string& input, const Series& series,
+                             unsigned workers) {
   stm::Config cfg;
   cfg.backend = series.backend;
   // TSX-like: small capacity so compress-in-tx overflows, 2 retries.
@@ -47,9 +52,7 @@ double run_one(const std::string& input, const Series& series,
   opts.mode = series.mode;
   opts.workers = workers;
   opts.fsync_every = 16;
-  const dedup::PipelineStats stats =
-      dedup::dedup_stream(input, dir.file("out.dd"), opts);
-  return stats.seconds;
+  return dedup::dedup_stream(input, dir.file("out.dd"), opts);
 }
 
 }  // namespace
@@ -77,14 +80,32 @@ int main() {
   std::vector<std::string> columns;
   for (const auto& s : series) columns.emplace_back(s.name);
   SeriesTable table(columns);
-  for (const unsigned threads : {2u, 4u, 8u}) {
+  const unsigned thread_counts[] = {2, 4, 8};
+  std::vector<std::vector<dedup::PipelineStats>> runs;  // [row][series]
+  for (const unsigned threads : thread_counts) {
     std::vector<double> row;
+    auto& stats = runs.emplace_back();
     for (const auto& s : series) {
-      row.push_back(run_one(input, s, threads));
+      stats.push_back(run_one(input, s, threads));
+      row.push_back(stats.back().seconds);
     }
     table.add_row(threads, row);
   }
   table.print(
       "Figure 3(a): dedup execution time (s) vs pipeline worker threads");
+
+  std::printf("\nfsyncs per run / seconds inside fsync\n%8s", "threads");
+  for (const auto& c : columns) std::printf("  %12s", c.c_str());
+  std::printf("\n");
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    std::printf("%8u", thread_counts[r]);
+    for (const auto& st : runs[r]) {
+      char cell[32];
+      std::snprintf(cell, sizeof(cell), "%llu/%.3f",
+                    static_cast<unsigned long long>(st.fsyncs), st.fsync_s);
+      std::printf("  %12s", cell);
+    }
+    std::printf("\n");
+  }
   return 0;
 }

@@ -1,5 +1,6 @@
-// Component bench: throughput of the dedup substrate kernels (SHA-1,
-// Rabin chunking, LZSS) — sanity numbers for interpreting Figure 3.
+// Component bench: throughput of the dedup substrate kernels (SHA-1 on
+// each block function, Rabin chunking, LZSS) — sanity numbers for
+// interpreting Figure 3.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -23,15 +24,24 @@ std::span<const std::byte> as_bytes(const std::string& s) {
   return {reinterpret_cast<const std::byte*>(s.data()), s.size()};
 }
 
-void BM_Sha1(benchmark::State& state) {
+// One row per SHA-1 block function; the hasher itself uses the one
+// detail::sha1_blocks() picked from CPUID.
+void BM_Sha1(benchmark::State& state, dedup::detail::Sha1BlockFn blocks) {
+  if (blocks == &dedup::detail::sha1_blocks_shani &&
+      !dedup::detail::sha1_shani_supported()) {
+    state.SkipWithError("CPU lacks the SHA extensions");
+    return;
+  }
   const std::string& input = sample_input();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dedup::sha1(input));
+    benchmark::DoNotOptimize(
+        dedup::detail::sha1_with(blocks, input.data(), input.size()));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(input.size()));
 }
-BENCHMARK(BM_Sha1);
+BENCHMARK_CAPTURE(BM_Sha1, portable, &dedup::detail::sha1_blocks_portable);
+BENCHMARK_CAPTURE(BM_Sha1, shani, &dedup::detail::sha1_blocks_shani);
 
 void BM_RabinChunking(benchmark::State& state) {
   const std::string& input = sample_input();

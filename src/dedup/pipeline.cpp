@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <map>
+#include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -26,24 +28,72 @@ struct Fragment {
   std::span<const std::byte> bytes;
 };
 
+// The deferred-output modes hand their intermediate fsyncs to the sync
+// stage; the baselines keep them inline, under the lock or irrevocable
+// transaction that orders the output.
+bool has_sync_stage(const Options& o) {
+  return o.fsync_every != 0 && (o.mode == SyncMode::TmDeferIO ||
+                                o.mode == SyncMode::TmDeferAll);
+}
+
 struct PipelineCtx {
   explicit PipelineCtx(const Options& o, const std::string& output_path)
       : opts(o),
         store(o.mode),
         fragments(o.queue_capacity),
         done(o.queue_capacity),
+        syncs(o.queue_capacity),
         out(io::PosixFile::create(output_path)) {}
+
+  // fsync the output, counting the call and its time.
+  void sync_out() {
+    const Timer t;
+    out.sync();
+    fsync_ns.fetch_add(t.elapsed_ns(), std::memory_order_relaxed);
+    fsyncs.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  // Record the first failure of any stage and close every queue, so each
+  // stage stops blocking on its neighbours and runs to its end.
+  void fail(std::exception_ptr e) {
+    {
+      std::lock_guard<std::mutex> lk(error_mutex);
+      if (!error) error = std::move(e);
+    }
+    fragments.close();
+    done.close();
+    syncs.close();
+  }
 
   const Options& opts;
   ChunkStore store;
   BoundedQueue<Fragment> fragments;
   BoundedQueue<PacketPtr> done;
+  // Sync stage requests, in emission order: request N asks for an fsync
+  // that covers records 1..N, all of which were written before it was
+  // queued.
+  BoundedQueue<std::uint64_t> syncs;
   io::PosixFile out;
   std::mutex output_mutex;  // Pthread mode: the original output-stage lock
   std::atomic<std::uint64_t> chunks{0};
   std::atomic<std::uint64_t> unique{0};
   std::atomic<std::uint64_t> bytes_out{0};
+  std::atomic<std::uint64_t> fsyncs{0};
+  std::atomic<std::uint64_t> fsync_ns{0};
+  std::mutex error_mutex;
+  std::exception_ptr error;  // first stage failure; rethrown by dedup_stream
 };
+
+// Run one stage, turning an escaping exception into a pipeline failure
+// instead of std::terminate.
+template <typename Stage>
+void guarded(PipelineCtx& ctx, Stage&& stage) noexcept {
+  try {
+    stage(ctx);
+  } catch (...) {
+    ctx.fail(std::current_exception());
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Compress stage (unique chunks only)
@@ -121,9 +171,18 @@ void worker_loop(PipelineCtx& ctx) {
       pkt->compressor = inserted;
       if (inserted) {
         ctx.unique.fetch_add(1, std::memory_order_relaxed);
-        compress_chunk(ctx, *pkt);
+        try {
+          compress_chunk(ctx, *pkt);
+        } catch (...) {
+          // Raise the ready flag anyway: the output stage may already
+          // wait on this entry for an earlier duplicate, and the failed
+          // pass is never restored.
+          ctx.store.publish_compressed(*entry, {});
+          throw;
+        }
       }
-      ctx.done.push(std::move(pkt));
+      // Closed only when another stage has failed.
+      if (!ctx.done.push(std::move(pkt))) return;
     }
   }
 }
@@ -132,7 +191,11 @@ void worker_loop(PipelineCtx& ctx) {
 // Reorder + write stage
 // ---------------------------------------------------------------------------
 
-void emit_packet(PipelineCtx& ctx, Packet& pkt, bool do_sync) {
+// Emit the n-th record (from 1). Every fsync_every-th record is followed
+// by an fsync that covers it.
+void emit_packet(PipelineCtx& ctx, Packet& pkt, std::uint64_t n) {
+  const bool do_sync =
+      ctx.opts.fsync_every != 0 && n % ctx.opts.fsync_every == 0;
   switch (ctx.opts.mode) {
     case SyncMode::Pthread: {
       const bool full = ctx.store.claim_write(*pkt.entry);
@@ -142,7 +205,7 @@ void emit_packet(PipelineCtx& ctx, Packet& pkt, bool do_sync) {
       // The original dedup performs output while holding a lock (§6.2).
       std::lock_guard<std::mutex> lk(ctx.output_mutex);
       ctx.out.write_fully(record.data(), record.size());
-      if (do_sync) ctx.out.sync();
+      if (do_sync) ctx.sync_out();
       ctx.bytes_out.fetch_add(record.size(), std::memory_order_relaxed);
       return;
     }
@@ -156,7 +219,7 @@ void emit_packet(PipelineCtx& ctx, Packet& pkt, bool do_sync) {
             full ? encode_unique(pkt.digest, pkt.entry->compressed())
                  : encode_ref(pkt.digest);
         ctx.out.write_fully(record.data(), record.size());
-        if (do_sync) ctx.out.sync();
+        if (do_sync) ctx.sync_out();
         ctx.bytes_out.fetch_add(record.size(), std::memory_order_relaxed);
       });
       return;
@@ -164,8 +227,10 @@ void emit_packet(PipelineCtx& ctx, Packet& pkt, bool do_sync) {
     case SyncMode::TmDeferIO:
     case SyncMode::TmDeferAll: {
       // Listing 7: the packet is deferrable; moving pipeline_out into a
-      // deferred operation is a one-line change that preserves fsync
-      // ordering and error handling without serializing anyone.
+      // deferred operation is a one-line change that preserves write
+      // ordering and error handling without serializing anyone. The
+      // epilogue only queues its fsync: the sync stage issues it, so the
+      // output thread and the packet's lock never wait on the disk.
       stm::atomic([&](stm::Tx& tx) {
         // Subscribe the packet's lock before claim_write_in's tvar write:
         // a contended acquire retries, and retrying after a write is
@@ -175,12 +240,12 @@ void emit_packet(PipelineCtx& ctx, Packet& pkt, bool do_sync) {
         const bool full = ctx.store.claim_write_in(tx, *pkt.entry);
         atomic_defer(
             tx,
-            [&ctx, &pkt, full, do_sync] {
+            [&ctx, &pkt, full, do_sync, n] {
               const std::vector<std::byte> record =
                   full ? encode_unique(pkt.digest, pkt.entry->compressed())
                        : encode_ref(pkt.digest);
               ctx.out.write_fully(record.data(), record.size());
-              if (do_sync) ctx.out.sync();
+              if (do_sync) ctx.syncs.push(n);
               ctx.bytes_out.fetch_add(record.size(),
                                       std::memory_order_relaxed);
             },
@@ -203,15 +268,18 @@ void output_loop(PipelineCtx& ctx) {
     while (!reorder.empty() && reorder.begin()->first == expected) {
       PacketPtr pkt = std::move(reorder.begin()->second);
       reorder.erase(reorder.begin());
-      ++records;
-      const bool do_sync = ctx.opts.fsync_every != 0 &&
-                           records % ctx.opts.fsync_every == 0;
-      emit_packet(ctx, *pkt, do_sync);
+      emit_packet(ctx, *pkt, ++records);
       expected = pkt->last_in_frag ? Key{pkt->frag + 1, 0}
                                    : Key{pkt->frag, pkt->idx + 1};
     }
   }
-  ctx.out.sync();
+  // The final fsync, issued here in every mode.
+  ctx.sync_out();
+}
+
+// Sync stage: one fsync per request, in request order.
+void sync_loop(PipelineCtx& ctx) {
+  while (ctx.syncs.pop()) ctx.sync_out();
 }
 
 }  // namespace
@@ -229,30 +297,45 @@ PipelineStats dedup_stream(std::span<const std::byte> input,
   const unsigned n_workers = opts.workers == 0 ? 1 : opts.workers;
   workers.reserve(n_workers);
   for (unsigned i = 0; i < n_workers; ++i) {
-    workers.emplace_back([&ctx] { worker_loop(ctx); });
+    workers.emplace_back([&ctx] { guarded(ctx, worker_loop); });
   }
-  std::thread output([&ctx] { output_loop(ctx); });
+  std::thread output([&ctx] { guarded(ctx, output_loop); });
+  std::thread sync;
+  if (has_sync_stage(opts)) {
+    sync = std::thread([&ctx] { guarded(ctx, sync_loop); });
+  }
 
   // Fragment stage: coarse fixed-size slices feed the parallel refiners.
   PipelineStats stats;
   stats.bytes_in = input.size();
   const std::size_t frag_bytes =
       opts.fragment_bytes == 0 ? (1u << 20) : opts.fragment_bytes;
-  std::uint64_t frag_seq = 0;
-  for (std::size_t offset = 0; offset < input.size();
-       offset += frag_bytes) {
-    const std::size_t len = std::min(frag_bytes, input.size() - offset);
-    ctx.fragments.push(Fragment{frag_seq++, input.subspan(offset, len)});
-  }
+  guarded(ctx, [&](PipelineCtx& c) {
+    std::uint64_t frag_seq = 0;
+    for (std::size_t offset = 0; offset < input.size();
+         offset += frag_bytes) {
+      const std::size_t len = std::min(frag_bytes, input.size() - offset);
+      const Fragment frag{frag_seq++, input.subspan(offset, len)};
+      // Closed early only when another stage has failed.
+      if (!c.fragments.push(frag)) return;
+    }
+  });
+  // Each queue closes once its producers are done; the sync stage's
+  // producer is the output thread.
   ctx.fragments.close();
   for (auto& w : workers) w.join();
   ctx.done.close();
   output.join();
+  ctx.syncs.close();
+  if (sync.joinable()) sync.join();
+  if (ctx.error) std::rethrow_exception(ctx.error);
 
   stats.chunks = ctx.chunks.load();
   stats.unique_chunks = ctx.unique.load();
   stats.dup_chunks = stats.chunks - stats.unique_chunks;
   stats.bytes_out = ctx.bytes_out.load() + sizeof(kMagic);
+  stats.fsyncs = ctx.fsyncs.load();
+  stats.fsync_s = static_cast<double>(ctx.fsync_ns.load()) * 1e-9;
   stats.seconds = timer.elapsed_s();
   return stats;
 }

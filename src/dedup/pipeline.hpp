@@ -38,10 +38,25 @@ struct PipelineStats {
   std::uint64_t dup_chunks = 0;
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
+  std::uint64_t fsyncs = 0;  // records / fsync_every, plus the final one
+  double fsync_s = 0.0;      // time inside fsync, summed over the calls
   double seconds = 0.0;
 };
 
 // Deduplicate + compress `input` into the container file at `output_path`.
+//
+// Durability: after every fsync_every-th record an fsync covers the
+// records written so far, and a final fsync covers the whole container
+// before dedup_stream returns. Pthread and TmIrrevoc issue each fsync
+// inline, under the lock or irrevocable transaction that writes the
+// record, so records up to N are durable before record N+1 is written.
+// TmDeferIO and TmDeferAll queue it to a sync stage (one thread, one
+// fsync per request, in order): records up to N are durable once that
+// stage's request for N completes, while the output stage goes on.
+//
+// The first exception from any stage (an I/O error, say) stops the
+// pipeline: every stage drains and is joined, then dedup_stream rethrows
+// it. The output file is then incomplete.
 PipelineStats dedup_stream(std::span<const std::byte> input,
                            const std::string& output_path,
                            const Options& opts = {});

@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <string>
+#include <system_error>
 #include <tuple>
 
 #include "dedup/format.hpp"
 #include "dedup/synth_input.hpp"
+#include "faultsim/faultsim.hpp"
 #include "io/posix_file.hpp"
 #include "io/temp_dir.hpp"
 #include "stm/api.hpp"
@@ -136,6 +139,25 @@ TEST_P(PipelineTest, OutputIsDeterministicAcrossModes) {
   EXPECT_EQ(io::read_file(out), io::read_file(ref));
 }
 
+// The flush policy is part of the workload: one fsync per fsync_every
+// records plus the final one, in every mode, whoever issues them.
+TEST_P(PipelineTest, FsyncCountFollowsFlushPolicy) {
+  const std::string input = make_synthetic_input(
+      {.total_bytes = 200 * 1024, .dup_fraction = 0.4, .seed = 9});
+  const std::string out = dir_.file("out.dd");
+  Options o = options();
+  const PipelineStats stats = dedup_stream(input, out, o);
+  EXPECT_EQ(restore_str(io::read_file(out)), input);
+  EXPECT_GT(stats.chunks, o.fsync_every);
+  EXPECT_EQ(stats.fsyncs, stats.chunks / o.fsync_every + 1);
+  EXPECT_GE(stats.fsync_s, 0.0);
+
+  o.fsync_every = 0;
+  const PipelineStats end_only = dedup_stream(input, out, o);
+  EXPECT_EQ(restore_str(io::read_file(out)), input);
+  EXPECT_EQ(end_only.fsyncs, 1u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Modes, PipelineTest,
     ::testing::Values(
@@ -159,6 +181,55 @@ INSTANTIATE_TEST_SUITE_P(
       });
       return name;
     });
+
+// A failed write or fsync in any stage stops the pipeline: dedup_stream
+// joins every stage and rethrows the error instead of terminating or
+// hanging.
+class PipelineFaultTest : public ::testing::TestWithParam<SyncMode> {
+ protected:
+  void SetUp() override { stm::init({.backend = "tl2"}); }
+
+  void expect_eio(const faultsim::Plan& plan) {
+    const std::string input = make_synthetic_input(
+        {.total_bytes = 256 * 1024, .dup_fraction = 0.4, .seed = 10});
+    Options o;
+    o.mode = GetParam();
+    o.workers = 3;
+    o.fsync_every = 4;
+    const faultsim::FaultScope scope(plan);
+    try {
+      dedup_stream(input, dir_.file("out.dd"), o);
+      ADD_FAILURE() << "dedup_stream returned despite the injected EIO";
+    } catch (const std::system_error& e) {
+      EXPECT_EQ(e.code().value(), EIO) << e.what();
+    }
+    EXPECT_EQ(faultsim::engine().injected(plan.op), 1u);
+  }
+
+  io::TempDir dir_{"adtm-pipeline-fault"};
+};
+
+TEST_P(PipelineFaultTest, FsyncErrorIsRethrown) {
+  expect_eio({.op = faultsim::Op::Fsync,
+              .fault = faultsim::Fault::error(EIO),
+              .skip = 3});
+}
+
+TEST_P(PipelineFaultTest, WriteErrorIsRethrown) {
+  // The first write is the container header, before any stage starts.
+  expect_eio({.op = faultsim::Op::Write,
+              .fault = faultsim::Fault::error(EIO),
+              .skip = 5});
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, PipelineFaultTest,
+                         ::testing::Values(SyncMode::Pthread,
+                                           SyncMode::TmDeferAll),
+                         [](const auto& info) {
+                           return info.param == SyncMode::Pthread
+                                      ? std::string("Pthread")
+                                      : std::string("TmDeferAll");
+                         });
 
 }  // namespace
 }  // namespace adtm::dedup

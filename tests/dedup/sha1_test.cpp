@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
+
+#include "common/rng.hpp"
 
 namespace adtm::dedup {
 namespace {
@@ -77,6 +80,47 @@ TEST(Sha1, LengthBoundaryCases) {
     Sha1 h;
     h.update(data.data(), len);
     EXPECT_EQ(h.finish(), sha1(data)) << "len=" << len;
+  }
+}
+
+// The SHA-NI block function must agree with the portable reference on
+// runs of whole blocks read straight from unaligned input, and on the
+// padding blocks Sha1 builds in its own buffer.
+TEST(Sha1, ShaniMatchesPortable) {
+  if (!detail::sha1_shani_supported()) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions; only the portable path "
+                    "runs here";
+  }
+  EXPECT_EQ(detail::sha1_blocks(), &detail::sha1_blocks_shani);
+  for (const std::string& vector :
+       {std::string{}, std::string{"abc"},
+        std::string{"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"},
+        std::string(1000000, 'a')}) {
+    EXPECT_EQ(detail::sha1_with(detail::sha1_blocks_shani, vector.data(),
+                                vector.size()),
+              detail::sha1_with(detail::sha1_blocks_portable, vector.data(),
+                                vector.size()))
+        << "len=" << vector.size();
+  }
+
+  constexpr std::size_t kMaxLen = 4096;
+  constexpr std::size_t kOffsets = 16;
+  std::vector<std::uint8_t> buf(kMaxLen + kOffsets);
+  Xoshiro256 rng(2024);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t off = 0; off < kOffsets; ++off) {
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      const std::uint8_t* p = buf.data() + off;
+      const Sha1Digest fast =
+          detail::sha1_with(detail::sha1_blocks_shani, p, len);
+      const Sha1Digest ref =
+          detail::sha1_with(detail::sha1_blocks_portable, p, len);
+      if (fast != ref) {
+        ADD_FAILURE() << "offset " << off << " len " << len << ": "
+                      << fast.hex() << " != " << ref.hex();
+        return;
+      }
+    }
   }
 }
 

@@ -95,6 +95,11 @@ ctest --preset tsan-obs -j "$JOBS"
 stage "tsan: TxLock + atomic_defer suites (lock waits, parking in place)"
 ctest --preset tsan-defer -j "$JOBS"
 
+# The sync stage fsyncs the output descriptor while the output thread
+# keeps writing to it, and every stage can fail the pipeline.
+stage "tsan: dedup kernels + pipeline (sync stage, stage failures)"
+ctest --preset tsan-dedup -j "$JOBS"
+
 stage "asan build (-fsanitize=address, -Werror=deprecated-declarations)"
 cmake --preset asan >/dev/null
 cmake --build --preset asan -j "$JOBS"
@@ -103,8 +108,9 @@ stage "asan: stats + obs suites"
 ctest --preset asan-stats
 ctest --preset asan-obs
 
-# The LZSS match compare reads 8 bytes at a time and the chunker indexes
-# the input directly (no window copy): out-of-bounds reads show up here.
+# The LZSS match compare reads 8 bytes at a time, the chunker indexes
+# the input directly (no window copy), and SHA-1 runs both block
+# functions (the parity test): out-of-bounds reads show up here.
 stage "asan: dedup kernels + pipeline"
 ctest --preset asan-dedup -j "$JOBS"
 
