@@ -29,9 +29,9 @@
 #
 # Usage:
 #   tools/perf_gate.sh [build-dir]       # run the gate (default ./build)
-#   tools/perf_gate.sh --update [dir]    # refresh BENCH_oltp.json with the
-#                                        # per-row median of 3 full-matrix
-#                                        # runs, then exit
+#   tools/perf_gate.sh --update [dir]    # refresh all three snapshots with
+#                                        # the per-row median of 3 runs
+#                                        # (full OLTP matrix), then exit
 set -u
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -79,15 +79,19 @@ parse() {
   }' "$1"
 }
 
-# median_report <run files...>: one adtm-bench/v1 file that holds, per
-# (binary, name, label) entry, the entry line of the run whose
+# median_report <key_iters> <run files...>: one adtm-bench/v1 file that
+# holds, per (binary, name, label) entry, the entry line of the run whose
 # iterations/real_ns is the median — the rate of a tput row, the count of
-# an abort row, the inverse of a percentile row. A run that did not emit
-# an entry (an abort cause that did not occur) counts as zero, and an
-# entry whose median is zero is left out, as a single run leaves it out.
-# Entries keep the order in which they first appear.
+# an abort row, the inverse of a per-op or percentile time. With
+# key_iters=1 the iteration count joins the key (crashsim repeats each
+# name and label once per record count). A run that did not emit an entry
+# (an abort cause that did not occur) counts as zero, and an entry whose
+# median is zero is left out, as a single run leaves it out. Entries keep
+# the order in which they first appear.
 median_report() {
-  awk -F'"' -v runs="$#" '
+  local key_iters="$1"
+  shift
+  awk -F'"' -v runs="$#" -v key_iters="$key_iters" '
     /"binary":/ {
       bin = $4
       if (!(bin in seen)) { seen[bin] = 1; bins[++nbin] = bin }
@@ -99,6 +103,7 @@ median_report() {
       gsub(/[^0-9.eE+-]/, "", real)
       gsub(/[^0-9]/, "", iters)
       k = bin SUBSEP $4 SUBSEP $8
+      if (key_iters) k = k SUBSEP iters
       if (!(k in count)) order[bin, ++nkey[bin]] = k
       c = ++count[k]
       rate[k, c] = real > 0 ? iters / real : 0
@@ -129,23 +134,32 @@ median_report() {
     }' "$@"
 }
 
-# Full committed matrix: the trajectory the repo publishes, as the per-row
-# median of UPDATE_RUNS full runs (a single run is one window per row and
-# lands anywhere in the host's spread). Refreshing is deliberate (same
-# machine, quiet load): tools/perf_gate.sh --update.
+# Committed snapshots: the trajectory the repo publishes (the full OLTP
+# matrix, the health and crashsim micro benches), each row the median of
+# UPDATE_RUNS runs (a single run is one window per row and lands anywhere
+# in the host's spread). Refreshing is deliberate (same machine, quiet
+# load): tools/perf_gate.sh --update.
 UPDATE_RUNS=3
 if [ "$UPDATE" = 1 ]; then
-  echo "perf_gate: regenerating $ROOT/BENCH_oltp.json" \
-       "(median of $UPDATE_RUNS full-matrix runs)..."
+  echo "perf_gate: regenerating BENCH_oltp.json, BENCH_health.json and" \
+       "BENCH_crashsim.json in $ROOT (median of $UPDATE_RUNS runs)..."
   for i in $(seq "$UPDATE_RUNS"); do
-    ADTM_BENCH_OUT="$TMP/update.$i.json" ADTM_OLTP_CONTAINER=both \
+    ADTM_BENCH_OUT="$TMP/oltp.$i.json" ADTM_OLTP_CONTAINER=both \
       "$YCSB" > /dev/null || exit 1
-    ADTM_BENCH_OUT="$TMP/update.$i.json" "$WH" > /dev/null || exit 1
+    ADTM_BENCH_OUT="$TMP/oltp.$i.json" "$WH" > /dev/null || exit 1
+    (cd "$TMP" && ADTM_BENCH_OUT="$TMP/health.$i.json" "$HEALTH" > /dev/null) \
+      || exit 1
+    (cd "$TMP" && ADTM_BENCH_OUT="$TMP/crashsim.$i.json" "$CRASHSIM" \
+      > /dev/null) || exit 1
     echo "perf_gate: run $i/$UPDATE_RUNS done"
   done
-  median_report "$TMP"/update.*.json > "$TMP/median.json" || exit 1
-  mv "$TMP/median.json" "$ROOT/BENCH_oltp.json" || exit 1
-  echo "perf_gate: snapshot refreshed"
+  median_report 0 "$TMP"/oltp.*.json > "$TMP/oltp.median" || exit 1
+  median_report 0 "$TMP"/health.*.json > "$TMP/health.median" || exit 1
+  median_report 1 "$TMP"/crashsim.*.json > "$TMP/crashsim.median" || exit 1
+  for name in oltp health crashsim; do
+    mv "$TMP/$name.median" "$ROOT/BENCH_$name.json" || exit 1
+  done
+  echo "perf_gate: snapshots refreshed"
   exit 0
 fi
 
