@@ -125,49 +125,16 @@ void BM_BackoffNextSpinsAndReset(benchmark::State& state) {
 }
 BENCHMARK(BM_BackoffNextSpinsAndReset);
 
-void BM_TxCommitUnprivileged(benchmark::State& state) {
-  // Baseline for the arbitration benches: a plain uncontended write
-  // transaction with the starvation ladder armed but never crossed.
+void BM_TxCommitUncontended(benchmark::State& state) {
+  // A plain uncontended write transaction with starvation escalation
+  // armed but never crossed: the per-commit streak bookkeeping.
   init_tl2();
   stm::tvar<int> x{0};
   for (auto _ : state) {
     stm::atomic([&](stm::Tx& tx) { x.set(tx, x.get(tx) + 1); });
   }
 }
-BENCHMARK(BM_TxCommitUnprivileged);
-
-void BM_TxCommitPrivileged(benchmark::State& state) {
-  // The same transaction run while holding the priority token: measures
-  // what rung 1 of the ladder costs when there is no conflict to win —
-  // begin() raises the attempt shield, commit spends the karma.
-  init_tl2();
-  stm::tvar<int> x{0};
-  auto& cm = liveness::contention();
-  for (auto _ : state) {
-    state.PauseTiming();
-    cm.reset();
-    for (int i = 0; i < 4; ++i) cm.on_conflict_abort();
-    cm.try_acquire_priority(4);
-    state.ResumeTiming();
-    stm::atomic([&](stm::Tx& tx) { x.set(tx, x.get(tx) + 1); });
-  }
-  cm.reset();
-}
-BENCHMARK(BM_TxCommitPrivileged);
-
-void BM_PriorityTokenTakeAndRelease(benchmark::State& state) {
-  // The rung-1 handoff itself: streak prime, CAS take, release.
-  auto& cm = liveness::contention();
-  cm.reset();
-  for (auto _ : state) {
-    for (int i = 0; i < 4; ++i) cm.on_conflict_abort();
-    benchmark::DoNotOptimize(cm.try_acquire_priority(4));
-    cm.release_priority();
-    cm.on_commit();
-  }
-  cm.reset();
-}
-BENCHMARK(BM_PriorityTokenTakeAndRelease);
+BENCHMARK(BM_TxCommitUncontended);
 
 void BM_LatencyHistogramRecord(benchmark::State& state) {
   // One wait-free histogram insert: the per-sample cost of lock stats.

@@ -30,9 +30,9 @@ struct RuntimeConfig {
   std::string algo;
 
   // --- contention management (stm) -----------------------------------
-  // Consecutive conflict-abort streak at which a thread climbs the
-  // starvation ladder (priority token, then serial escalation); 0
-  // disables both rungs. [ADTM_STARVATION_THRESHOLD]
+  // Consecutive conflict-abort streak (across transactions) at which a
+  // thread's next transaction escalates to serial mode; 0 disables it.
+  // [ADTM_STARVATION_THRESHOLD]
   std::uint32_t starvation_threshold = 64;
 
   // --- diagnostics (liveness) ----------------------------------------

@@ -28,9 +28,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::WatchdogStalls: return "watchdog_stalls";
     case Counter::LockLeaks: return "txlock_leaked_holds";
     case Counter::LockPoisons: return "lock_poisons";
-    case Counter::CmPriorityAcquired: return "cm_priority_acquired";
-    case Counter::CmPriorityWins: return "cm_priority_wins";
-    case Counter::CmPriorityYields: return "cm_priority_yields";
     case Counter::WatchdogActions: return "watchdog_actions";
     case Counter::QueueSheds: return "queue_sheds";
     case Counter::QueueBlockWaits: return "queue_block_waits";

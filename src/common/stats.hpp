@@ -39,9 +39,6 @@ enum class Counter : std::uint32_t {
   WatchdogStalls,       // threads the watchdog flagged as stalled past budget
   LockLeaks,            // cross-transaction lock holds leaked by exiting threads
   LockPoisons,          // TxLock/TxCondVar poison events
-  CmPriorityAcquired,   // starved threads that took the priority token
-  CmPriorityWins,       // conflicts a privileged thread won by outwaiting
-  CmPriorityYields,     // attempts that stood aside for the priority thread
   WatchdogActions,      // enforcement actions (poison/reap) the watchdog fired
   QueueSheds,           // bounded submission-queue rejections (shed/deadline)
   QueueBlockWaits,      // submits that blocked on a full queue (backpressure)

@@ -57,11 +57,10 @@ std::uint64_t thread_exit_count() noexcept;
 // Register a callback invoked on the exiting thread after its slot is
 // released and the exit count bumped (argument: the released slot id).
 // Polling the exit count only wakes waiters that spin; waiters parked on
-// OS primitives (the CGL commit condition variable) and global state keyed
-// by thread id (the contention manager's priority token) need a push
-// instead. Registration is process-lifetime — hooks cannot be removed —
-// and capped at a small fixed count; hooks must be async-signal-ish tame:
-// no throwing, no thread exit.
+// OS primitives (the CGL commit condition variable) need a push instead.
+// Registration is process-lifetime — hooks cannot be removed — and capped
+// at a small fixed count; hooks must be async-signal-ish tame: no
+// throwing, no thread exit.
 void register_thread_exit_hook(void (*hook)(std::uint32_t tid)) noexcept;
 
 }  // namespace adtm

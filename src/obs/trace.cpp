@@ -47,7 +47,6 @@ const char* abort_cause_name(AbortCause c) noexcept {
     case AbortCause::ConflictLockBusy: return "conflict-lock-busy";
     case AbortCause::ConflictValidation: return "conflict-validation";
     case AbortCause::ConflictNorecValue: return "conflict-norec-value";
-    case AbortCause::ConflictPriorityYield: return "conflict-priority-yield";
     case AbortCause::Capacity: return "capacity";
     case AbortCause::Explicit: return "explicit";
     case AbortCause::SerialRestart: return "serial-restart";

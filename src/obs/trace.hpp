@@ -64,10 +64,9 @@ const char* event_name(EventType t) noexcept;
 // Keep abort_cause_name() in sync.
 enum class AbortCause : std::uint8_t {
   None,                   // not an abort event
-  ConflictLockBusy,       // busy-orec spin/patience budget exhausted
+  ConflictLockBusy,       // busy-orec or reader-drain spin budget exhausted
   ConflictValidation,     // read-set validation / snapshot extension failed
   ConflictNorecValue,     // NOrec value-based validation failed
-  ConflictPriorityYield,  // stepped aside for the priority (starved) thread
   Capacity,               // HTMSim footprint exceeded the capacity budget
   Explicit,               // stm::cancel()
   SerialRestart,          // become_irrevocable() rollback before serial re-run

@@ -191,13 +191,11 @@ struct Driver {
   // nothing the attempt did is visible to other threads, so it can leave
   // the registry and later resume. Eager attempts that wrote own orecs,
   // HTMSim and 2PL (its reader indicators would block writers) abort
-  // instead; so does a privileged attempt (its NOrec shield holds rival
-  // commits back). An attempt that acquired a TxLock (locker_depth()
-  // above the committed holds) must abort: that releases the lock, which
-  // keeps multi-lock acquisition deadlock-free.
+  // instead. An attempt that acquired a TxLock (locker_depth() above the
+  // committed holds) must abort: that releases the lock, which keeps
+  // multi-lock acquisition deadlock-free.
   static bool may_park_in_place(const Tx& tx) {
-    if (tx.mode_ != Tx::Mode::Speculative || !runtime().config.retry_wait ||
-        tx.priority_) {
+    if (tx.mode_ != Tx::Mode::Speculative || !runtime().config.retry_wait) {
       return false;
     }
     const bool invisible =
@@ -272,9 +270,10 @@ struct Driver {
     Exception,      // an exception rolled a speculative attempt back
   };
 
-  // Account one outcome: the stats counter, the obs event and the karma
-  // contention manager. `t_attempt` is the attempt's start when it was
-  // traced (0 otherwise); `t_commit` is the start of its commit phase.
+  // Account one outcome: the stats counter, the obs event and the
+  // contention manager's abort streak. `t_attempt` is the attempt's start
+  // when it was traced (0 otherwise); `t_commit` is the start of its
+  // commit phase.
   static void record(Outcome out, const Tx& tx,
                      obs::AbortCause cause = obs::AbortCause::None,
                      std::uint64_t t_attempt = 0,
@@ -427,38 +426,21 @@ struct Driver {
     }
   }
 
-  // Two-rung starvation ladder (liveness/contention.hpp). Rung 1: a
-  // thread whose cross-transaction abort streak reaches the threshold
-  // takes the process-wide priority token and keeps running speculatively
-  // — conflict arbitration (tx.cpp) then favors it. Rung 2 — serial
-  // escalation — remains the fallback for when the token is already taken,
-  // or when privilege alone has not broken the streak (the 2x-threshold
-  // backstop: validation failures are conflicts arbitration cannot veto).
-  // Serial escalation still requires locker_depth()==0: the gate refuses
-  // a contention escalation while other threads pin holds, and a pinned
-  // holder's peers are often exactly those threads. The token rung has
-  // no such constraint — which is exactly why it comes first and closes
-  // the old pinned-holder starvation gap. Returns true (and counts the
-  // escalation) when the thread must run serially.
-  static bool starved_to_serial(const Config& cfg) {
-    const std::uint32_t threshold = cfg.starvation_threshold;
-    if (threshold == 0) return false;
-    auto& cm = liveness::contention();
-    bool serial = false;
-    if (cm.has_priority()) {
-      if (locker_depth() == 0 &&
-          cm.consecutive_aborts(thread_id()) >= 2 * threshold) {
-        cm.release_priority();  // privilege failed; hand rung 1 on
-        serial = true;
-      }
-    } else if (!cm.try_acquire_priority(threshold)) {
-      serial = locker_depth() == 0 && cm.should_escalate(threshold);
+  // Starvation escalation (liveness/contention.hpp): a thread whose
+  // cross-transaction abort streak reached the threshold runs serially.
+  // Only without holds of its own: the gate refuses a contention
+  // escalation while other threads pin holds, and a pinned holder's peers
+  // are often exactly those threads; its per-call serialize_after budget
+  // still reaches the gate. Returns true (and counts the escalation) when
+  // the thread must run serially.
+  static bool should_escalate(const Config& cfg) {
+    if (locker_depth() != 0 ||
+        !liveness::contention().should_escalate(cfg.starvation_threshold)) {
+      return false;
     }
-    if (serial) {
-      cm.on_escalation();
-      stats().add(Counter::CmEscalations);
-    }
-    return serial;
+    liveness::contention().on_escalation();
+    stats().add(Counter::CmEscalations);
+    return true;
   }
 
   // The attempt loop (the paper's TxBegin/TxEnd, Listing 1, plus
@@ -482,9 +464,9 @@ struct Driver {
       cgl.lock();  // held across attempts, released at commit
     } else {
       // A thread that lost its conflicts across many *previous*
-      // transactions climbs the ladder up front instead of losing a few
-      // more attempts first.
-      escalated = starved_to_serial(cfg);
+      // transactions escalates up front instead of losing a few more
+      // attempts first.
+      escalated = should_escalate(cfg);
     }
     // HTM-like backends exhaust a small hardware-retry budget before
     // falling back to the serial gate; software backends serialize as
@@ -494,12 +476,9 @@ struct Driver {
     Backoff bo;
     for (;;) {
       if (mode != Tx::Mode::CGL) {
-        // Privilege is moot inside the serial gate — free the token so
-        // another starved thread can use it.
         if (!escalated &&
             attempt >= (htm ? cfg.htm_retries : cfg.serialize_after)) {
           escalated = true;
-          liveness::contention().release_priority();
           stats().add(htm ? Counter::TxHtmFallback : Counter::TxIrrevocable);
         }
         mode = Tx::Mode::Speculative;
@@ -589,7 +568,7 @@ struct Driver {
         case Outcome::Cancel:
           return;
         case Outcome::Conflict:
-          if (!escalated) escalated = starved_to_serial(cfg);
+          if (!escalated) escalated = should_escalate(cfg);
           if (!escalated) bo.pause();
           break;
         case Outcome::SerialRestart:

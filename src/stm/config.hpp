@@ -47,21 +47,12 @@ struct Config {
   // LockWait); with it off, every TxLock wait aborts and re-executes.
   bool retry_wait = true;
 
-  // Starvation arbitration (liveness layer): a thread whose conflict-abort
-  // streak *across transactions* reaches this count first takes the
-  // priority token — conflict arbitration then favors it while it keeps
-  // running speculatively — and falls back to serial-irrevocable mode when
-  // the token is taken (or when privilege alone cannot break the streak).
-  // 0 disables both rungs. Overridable via ADTM_STARVATION_THRESHOLD.
+  // Starvation escalation (liveness layer): a thread whose conflict-abort
+  // streak *across transactions* reaches this count runs its next
+  // transaction in serial-irrevocable mode, where it cannot lose. 0
+  // disables it (the per-call serialize_after bound still applies).
+  // Overridable via ADTM_STARVATION_THRESHOLD.
   std::uint32_t starvation_threshold = default_starvation_threshold();
-
-  // Patience bound of priority arbitration, in nanoseconds. A privileged
-  // thread outwaits a busy orec for at most this long before aborting
-  // after all (the safety valve against a wedged owner), and a
-  // non-privileged NOrec commit holds back at most this long for a
-  // privileged attempt in flight. Bounded so arbitration can delay but
-  // never deadlock anyone.
-  std::uint64_t priority_wait_ns = 100'000'000;
 
   static std::uint32_t default_starvation_threshold() noexcept {
     return runtime_config().starvation_threshold;

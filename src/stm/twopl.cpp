@@ -28,22 +28,19 @@
 // Of any racing pair, at least one side observes the other, so a reader
 // can never sample a word a writer is concurrently mutating.
 //
-// Deadlock freedom: every wait here is bounded (spin budgets, priority
-// patience) and resolves to a ConflictAbort, whose rollback revokes all
-// ownership — there is no unbounded hold-and-wait. Waits are made
-// visible to the liveness watchdog via wait-graph edges published while
-// a writer drains a stubborn reader.
+// Deadlock freedom: every wait here is bounded (spin budgets) and
+// resolves to a ConflictAbort, whose rollback revokes all ownership —
+// there is no unbounded hold-and-wait. Waits are made visible to the
+// liveness watchdog via wait-graph edges published while a writer drains
+// a stubborn reader.
 #include <cstdint>
 #include <thread>
 #include <vector>
 
 #include "common/backoff.hpp"
 #include "common/panic.hpp"
-#include "common/stats.hpp"
 #include "common/thread_id.hpp"
-#include "common/timing.hpp"
 #include "common/tsan.hpp"
-#include "liveness/contention.hpp"
 #include "liveness/wait_graph.hpp"
 #include "stm/orec.hpp"
 #include "stm/registry.hpp"
@@ -108,8 +105,7 @@ std::uint32_t indicator_owner(const void* entity) noexcept {
 // Bounded: a stubborn reader (it is spinning on one of our locked orecs,
 // or running a long transaction) costs us a spin budget and then a
 // conflict abort — rollback revokes the lock, so reader/writer cycles
-// always break. Privileged (starved) writers outwait up to the priority
-// patience bound instead, mirroring arbitrate_busy_orec.
+// always break.
 void Tx::twopl_drain_readers(std::uint16_t slot) {
   // pairs-with: twopl_begin()'s seq_cst high-water CAS.
   const std::uint32_t hw = g_tid_highwater.load(std::memory_order_seq_cst);
@@ -123,31 +119,20 @@ void Tx::twopl_drain_readers(std::uint16_t slot) {
     // clear_indicators()' release store.
     if (ind.load(std::memory_order_seq_cst) == 0) continue;
     std::uint32_t spins = 0;
-    std::uint64_t patience_deadline = 0;
     bool published = false;
-    const bool priv = priority_;
-    if (priv) patience_deadline = now_ns() + cfg.priority_wait_ns;
     // pairs-with: clear_indicators()' release store.
     while (ind.load(std::memory_order_seq_cst) != 0) {
-      ++spins;
-      if (!priv && spins > budget) {
+      if (++spins > budget) {
         if (published) liveness::clear_wait();
-        stats().add(Counter::CmPriorityYields);
         conflict_abort(obs::AbortCause::ConflictLockBusy);
       }
       if ((spins & 255u) == 0) {
-        // Let the reader run, surface the wait to the watchdog, and
-        // honor the privileged patience bound without a clock read per
-        // spin.
+        // Let the reader run and surface the wait to the watchdog.
         if (!published) {
           liveness::publish_wait(&ind, indicator_owner, "2pl-drain-readers");
           published = true;
         }
         std::this_thread::yield();
-        if (priv && now_ns() >= patience_deadline) {
-          liveness::clear_wait();
-          conflict_abort(obs::AbortCause::ConflictLockBusy);
-        }
       }
       cpu_relax();
     }
@@ -157,15 +142,13 @@ void Tx::twopl_drain_readers(std::uint16_t slot) {
 
 void Tx::twopl_lock_orec(Orec& o) {
   std::uint32_t spins = 0;
-  std::uint64_t patience_deadline = 0;
-  bool outwaited = false;
   for (;;) {
     // pairs-with: the previous owner's release store of the orec
     // (LockLog::release_all at commit, restore_from at rollback).
     OrecWord s = o.load(std::memory_order_acquire);
     if (orec_locked(s)) {
       if (orec_locked_by(s, tid_)) return;  // already ours, already drained
-      arbitrate_busy_orec(s, spins, patience_deadline, outwaited);
+      arbitrate_busy_orec(spins);
       continue;
     }
     // Pessimistic locking has no snapshot to keep valid: the version in
@@ -176,7 +159,6 @@ void Tx::twopl_lock_orec(Orec& o) {
                                 std::memory_order_seq_cst)) {
       ADTM_TSAN_ACQUIRE(&o);
       locks_.push(&o, s);
-      if (outwaited) stats().add(Counter::CmPriorityWins);
       twopl_drain_readers(slot_of(o));
       return;
     }
@@ -218,8 +200,6 @@ std::uint64_t Tx::twopl_read(const detail::Word* addr) {
     twopl_held_.push_back(slot);
   }
   std::uint32_t spins = 0;
-  std::uint64_t patience_deadline = 0;
-  bool outwaited = false;
   for (;;) {
     // pairs-with: twopl_lock_orec()'s seq_cst CAS (Dekker), and the
     // committing writer's release store of the orec.
@@ -229,7 +209,7 @@ std::uint64_t Tx::twopl_read(const detail::Word* addr) {
       // indicator, so spinning here is bounded by its progress — the
       // shared arbitration aborts us once the budget is spent, and
       // rollback clears our indicators out of its way.
-      arbitrate_busy_orec(s, spins, patience_deadline, outwaited);
+      arbitrate_busy_orec(spins);
       continue;
     }
     // Unlocked with our indicator published: any writer that locks the
@@ -239,7 +219,6 @@ std::uint64_t Tx::twopl_read(const detail::Word* addr) {
     // orec release that the load above acquired.
     const std::uint64_t v = addr->load(std::memory_order_seq_cst);
     reads_.push(&o, s);  // retry() watch entries only
-    if (outwaited) stats().add(Counter::CmPriorityWins);
     tmsan::on_tx_read(addr, v);
     return v;
   }

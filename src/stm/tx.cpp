@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <new>
-#include <thread>
 
 #include "common/backoff.hpp"
 #include "common/panic.hpp"
@@ -11,7 +10,6 @@
 #include "common/tsan.hpp"
 #include "liveness/activity.hpp"
 #include "stm/backend.hpp"
-#include "liveness/contention.hpp"
 #include "liveness/wait_graph.hpp"
 #include "stm/control.hpp"
 #include "stm/orec.hpp"
@@ -35,6 +33,9 @@ namespace {
 std::uint64_t norec_snapshot() noexcept {
   auto& seq = detail::runtime().norec_seq;
   for (;;) {
+    // pairs-with: commit_norec()'s release store of the even sequence
+    // (and unify_serialization_clocks()', backend.cpp): the snapshot sees
+    // every write published at or before it.
     const std::uint64_t s = seq.load(std::memory_order_acquire);
     if ((s & 1) == 0) {
       ADTM_TSAN_ACQUIRE(&seq);
@@ -60,24 +61,20 @@ void Tx::begin(Algo algo, Mode mode, std::uint32_t attempt) {
   locks_.clear();
   norec_reads_.clear();
   if (mode_ == Mode::Speculative) {
-    // Priority-aware karma: a starved thread that took the contention
-    // manager's token runs its attempts privileged — the access paths
-    // below arbitrate conflicts in its favor. The attempt shield (NOrec)
-    // goes up before the first read so no rival commit can slip between
-    // the snapshot and the shield.
-    priority_ = liveness::contention().has_priority();
-    if (priority_) liveness::contention().set_priority_attempt(true);
     start_ = (algo_ == Algo::NOrec) ? norec_snapshot() : clock_now();
     detail::registry_enter(start_);
     // registry_enter may have waited for a serial writer: refresh the
     // snapshot so we do not start in the past relative to its effects.
     start_ = (algo_ == Algo::NOrec) ? norec_snapshot() : clock_now();
+    // pairs-with: quiesce_until()'s and acquire_serial_gate()'s acquire
+    // loads of active_since (registry.cpp); seq_cst like registry_enter()'s
+    // own publish, so the gate handshake's order is kept.
     detail::my_slot().active_since.store(start_, std::memory_order_seq_cst);
-  } else {
-    priority_ = false;
   }
   // Snapshot for retry's serial-commit watch: taken before any read so a
   // serial commit overlapping this attempt always wakes the waiter.
+  // pairs-with: the serial commit's acq_rel serial_commits increment
+  // (api.cpp, Driver::leave).
   retry_serial_snap_ =
       detail::runtime().serial_commits.load(std::memory_order_acquire);
   // Same argument for the thread-exit watch: an owner that exits between a
@@ -102,6 +99,7 @@ void Tx::commit() {
     // primary key is a post-effect clock/seq sample: every speculative
     // transaction serialized after this one observes at least this value.
     if (tmsan::active()) {
+      // pairs-with: commit_norec()'s release store of the even sequence.
       tmsan::on_tx_commit(
           algo_ == Algo::NOrec
               ? detail::runtime().norec_seq.load(std::memory_order_acquire)
@@ -185,12 +183,12 @@ void Tx::commit() {
 }
 
 void Tx::commit_norec() {
-  const Config& cfg = detail::runtime().config;
   auto& seq = detail::runtime().norec_seq;
   if (writes_.empty()) {
     // Read-only: linearize at commit (see the orec-path comment); here
     // the validation is by value, so even a direct (lock-protected) write
     // by a deferred operation is caught.
+    // pairs-with: commit_norec()'s release store of the even sequence.
     if (seq.load(std::memory_order_acquire) != start_) {
       (void)norec_validate();  // throws ConflictAbort on mismatch
     }
@@ -201,27 +199,14 @@ void Tx::commit_norec() {
     return;
   }
 
-  // Priority arbitration on the sequence-lock race: while a starved
-  // (privileged) attempt is in flight, rival writers hold their commit
-  // back so the privileged thread's value validation cannot be invalidated
-  // under it. Bounded by priority_wait_ns — politeness, not a lockout.
-  if (!priority_) {
-    auto& cm = liveness::contention();
-    if (cm.priority_attempt_active()) {
-      stats().add(Counter::CmPriorityYields);
-      const std::uint64_t deadline = now_ns() + cfg.priority_wait_ns;
-      while (cm.priority_attempt_active() && now_ns() < deadline) {
-        std::this_thread::yield();
-      }
-    }
-  }
-
   // Acquire the sequence lock at a snapshot we are valid at.
+  // pairs-with: the previous writer's release store of the even sequence
+  // below (acquire half); the odd value it publishes makes readers wait
+  // out our writeback (release half).
   std::uint64_t s = start_;
   while (!seq.compare_exchange_weak(s, s + 1, std::memory_order_acq_rel)) {
     s = norec_validate();  // adopt a newer consistent snapshot (or abort)
   }
-  if (priority_) stats().add(Counter::CmPriorityWins);
   for (const auto& e : writes_.entries()) {
     e.addr->store(e.value, std::memory_order_relaxed);
   }
@@ -233,6 +218,9 @@ void Tx::commit_norec() {
   // registry slot.
   tmsan::on_tx_commit(s + 2);
   ADTM_TSAN_RELEASE(&seq);
+  // pairs-with: the acquire loads of norec_seq in norec_snapshot(),
+  // norec_validate(), read_word_norec() and the read-only commit above:
+  // a reader that sees s + 2 sees the writeback.
   seq.store(s + 2, std::memory_order_release);
 
   norec_reads_.clear();
@@ -245,16 +233,23 @@ void Tx::commit_norec() {
 std::uint64_t Tx::norec_validate() {
   auto& seq = detail::runtime().norec_seq;
   for (;;) {
+    // pairs-with: commit_norec()'s release store of the even sequence.
     const std::uint64_t s = seq.load(std::memory_order_acquire);
     if ((s & 1) != 0) {
       cpu_relax();
       continue;
     }
     for (const auto& e : norec_reads_.entries()) {
-      if (e.addr->load(std::memory_order_relaxed) != e.value) {
+      // pairs-with: commit_norec()'s release store of the even sequence,
+      // which published the value; acquire also keeps the sequence
+      // re-check below after this load (a relaxed load could drift past
+      // it).
+      if (e.addr->load(std::memory_order_acquire) != e.value) {
         throw detail::ConflictAbort{obs::AbortCause::ConflictNorecValue};
       }
     }
+    // pairs-with: commit_norec()'s acq_rel CAS to odd: an unchanged even
+    // sequence means no writeback overlapped the value checks.
     if (seq.load(std::memory_order_acquire) == s) {
       ADTM_TSAN_ACQUIRE(&seq);
       start_ = s;
@@ -267,9 +262,15 @@ std::uint64_t Tx::read_word_norec(const detail::Word* addr) {
   std::uint64_t buffered;
   if (writes_.lookup(addr, &buffered)) return buffered;
   auto& seq = detail::runtime().norec_seq;
+  // pairs-with: commit_norec()'s release store of the even sequence that
+  // begin() or norec_validate() acquired, which published the value;
+  // acquire also keeps the sequence check below after this load.
   std::uint64_t v = addr->load(std::memory_order_acquire);
+  // pairs-with: commit_norec()'s acq_rel CAS to odd and release store of
+  // the even sequence: unchanged means no writeback raced the load.
   while (seq.load(std::memory_order_acquire) != start_) {
     (void)norec_validate();  // re-snapshot; aborts if a prior read changed
+    // pairs-with: as the first load above.
     v = addr->load(std::memory_order_acquire);
   }
   norec_reads_.push(addr, v);
@@ -278,9 +279,6 @@ std::uint64_t Tx::read_word_norec(const detail::Word* addr) {
 }
 
 void Tx::rollback() noexcept {
-  // The attempt is over: drop the NOrec shield so rivals held back for
-  // this privileged attempt do not stall while we park or back off.
-  if (priority_) liveness::contention().set_priority_attempt(false);
   // 2PL reader indicators go before the generic undo/lock unwinding.
   if (algo_ == Algo::TwoPL) twopl_rollback();
   undo_.rollback();
@@ -331,44 +329,13 @@ std::uint64_t Tx::read_word(const detail::Word* addr) {
 }
 
 // Shared busy-orec arbitration for the speculative access paths. Returns
-// normally to keep spinning, throws ConflictAbort to give up. State lives
-// in the caller's loop: `spins` counts busy samples, `patience_deadline`
-// is armed on the first privileged spin, and `outwaited` flags a win for
-// the stats once the caller succeeds past the normal spin budget.
-void Tx::arbitrate_busy_orec(OrecWord s, std::uint32_t& spins,
-                             std::uint64_t& patience_deadline,
-                             bool& outwaited) {
-  const Config& cfg = detail::runtime().config;
+// normally to keep spinning, throws ConflictAbort to give up; `spins`
+// counts busy samples in the caller's loop.
+void Tx::arbitrate_busy_orec(std::uint32_t& spins) {
   if (algo_ == Algo::HTMSim) {
     conflict_abort(obs::AbortCause::ConflictLockBusy);  // hw cannot spin
   }
-  if (priority_) {
-    // Privileged (starved past ADTM_STARVATION_THRESHOLD): outwait the
-    // owner instead of self-aborting — this is the arbitration win that
-    // replaces after-the-fact serial escalation. Bounded by
-    // priority_wait_ns: the owner may itself be wedged, and a privileged
-    // thread spinning forever would convert starvation into deadlock.
-    if (spins == 0) patience_deadline = now_ns() + cfg.priority_wait_ns;
-    ++spins;
-    if (spins > cfg.lock_spin_limit) outwaited = true;
-    if ((spins & 1023u) == 0) {
-      // Let the owner run (essential on few-core machines) and honor the
-      // patience bound without paying a clock read per spin.
-      std::this_thread::yield();
-      if (now_ns() >= patience_deadline) {
-        conflict_abort(obs::AbortCause::ConflictLockBusy);
-      }
-    }
-    cpu_relax();
-    return;
-  }
-  if (orec_owner(s) == liveness::contention().priority_thread()) {
-    // The owner is the starved priority thread: step aside immediately
-    // instead of spinning against it (low karma loses the conflict).
-    stats().add(Counter::CmPriorityYields);
-    conflict_abort(obs::AbortCause::ConflictPriorityYield);
-  }
-  if (++spins > cfg.lock_spin_limit) {
+  if (++spins > detail::runtime().config.lock_spin_limit) {
     conflict_abort(obs::AbortCause::ConflictLockBusy);
   }
   cpu_relax();
@@ -381,9 +348,10 @@ std::uint64_t Tx::read_word_speculative(const detail::Word* addr) {
   }
   Orec& o = orec_for(addr);
   std::uint32_t spins = 0;
-  std::uint64_t patience_deadline = 0;
-  bool outwaited = false;
   for (;;) {
+    // pairs-with: the last owner's release store of the orec
+    // (LockLog::release_all at commit, restore_all/restore_from at
+    // rollback): an unlocked word makes that owner's writeback visible.
     const OrecWord s1 = o.load(std::memory_order_acquire);
     if (orec_locked(s1)) {
       if (orec_locked_by(s1, tid_)) {
@@ -391,18 +359,23 @@ std::uint64_t Tx::read_word_speculative(const detail::Word* addr) {
         // write-lock path extended the snapshot past the line's version).
         return addr->load(std::memory_order_relaxed);
       }
-      arbitrate_busy_orec(s1, spins, patience_deadline, outwaited);
+      arbitrate_busy_orec(spins);
       continue;
     }
     if (orec_version(s1) > start_) {
       if (!extend()) conflict_abort(obs::AbortCause::ConflictValidation);
       continue;  // resample under the extended snapshot
     }
+    // pairs-with: the owner's release store of the orec that s1 acquired,
+    // which published the value; acquire also keeps the orec re-check
+    // below after this load (the per-orec seqlock read).
     const std::uint64_t v = addr->load(std::memory_order_acquire);
+    // pairs-with: a rival's acq_rel lock CAS in lock_orec_for_write() and
+    // its release store at commit: a changed word means the value may be
+    // torn.
     if (o.load(std::memory_order_acquire) != s1) continue;
     reads_.push(&o, s1);
     if (algo_ == Algo::HTMSim) check_htm_budget();
-    if (outwaited) stats().add(Counter::CmPriorityWins);
     tmsan::on_tx_read(addr, v);
     return v;
   }
@@ -435,13 +408,13 @@ void Tx::write_word(detail::Word* addr, std::uint64_t value) {
 
 void Tx::lock_orec_for_write(Orec& o) {
   std::uint32_t spins = 0;
-  std::uint64_t patience_deadline = 0;
-  bool outwaited = false;
   for (;;) {
+    // pairs-with: the last owner's release store of the orec (see
+    // read_word_speculative()).
     OrecWord s = o.load(std::memory_order_acquire);
     if (orec_locked(s)) {
       if (orec_locked_by(s, tid_)) return;  // already ours
-      arbitrate_busy_orec(s, spins, patience_deadline, outwaited);
+      arbitrate_busy_orec(spins);
       continue;
     }
     if (orec_version(s) > start_) {
@@ -450,12 +423,14 @@ void Tx::lock_orec_for_write(Orec& o) {
       if (!extend()) conflict_abort(obs::AbortCause::ConflictValidation);
       continue;
     }
+    // pairs-with: the last owner's release store of the orec (acquire
+    // half), and readers' acquire loads of it, which then see the line
+    // locked before any in-place write (release half).
     if (o.compare_exchange_weak(s, make_orec_locked(tid_),
                                 std::memory_order_acq_rel)) {
       ADTM_TSAN_ACQUIRE(&o);
       locks_.push(&o, s);
       if (algo_ == Algo::HTMSim) check_htm_budget();
-      if (outwaited) stats().add(Counter::CmPriorityWins);
       return;
     }
   }
@@ -464,6 +439,8 @@ void Tx::lock_orec_for_write(Orec& o) {
 bool Tx::extend() {
   const std::uint64_t now = clock_now();
   for (const auto& e : reads_.entries()) {
+    // pairs-with: committers' release store of the orec
+    // (LockLog::release_all) and the lock CAS in lock_orec_for_write().
     const OrecWord cur = e.orec->load(std::memory_order_acquire);
     if (cur == e.seen) continue;
     OrecWord prev;
@@ -479,6 +456,8 @@ bool Tx::extend() {
 
 void Tx::validate_reads() {
   for (const auto& e : reads_.entries()) {
+    // pairs-with: committers' release store of the orec
+    // (LockLog::release_all) and the lock CAS in lock_orec_for_write().
     const OrecWord cur = e.orec->load(std::memory_order_acquire);
     if (cur == e.seen) continue;
     OrecWord prev;

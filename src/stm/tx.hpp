@@ -81,10 +81,6 @@ class Tx {
   std::uint32_t tid_ = 0;  // cached small thread id
   bool in_tx_ = false;
   bool wrote_direct_ = false;  // direct-mode write happened (retry illegal)
-  // This attempt runs with the contention manager's priority token
-  // (starved thread): busy orecs are outwaited instead of aborted on, and
-  // rival NOrec commits hold back while the attempt is in flight.
-  bool priority_ = false;
 
   detail::ReadSet reads_;
   detail::WriteSet writes_;
@@ -119,8 +115,7 @@ class Tx {
 
   bool extend();                  // timestamp extension; false = invalid
   [[noreturn]] void conflict_abort(obs::AbortCause cause);
-  void arbitrate_busy_orec(OrecWord s, std::uint32_t& spins,
-                           std::uint64_t& patience_deadline, bool& outwaited);
+  void arbitrate_busy_orec(std::uint32_t& spins);
   void lock_orec_for_write(Orec& o);
   void check_htm_budget();
   std::uint64_t read_word_speculative(const detail::Word* addr);

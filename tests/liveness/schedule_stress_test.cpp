@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -105,9 +106,17 @@ TEST_P(ScheduleStressTest, CvWaitCycleDetectedAndResolved) {
 }
 
 // A writer that has already lost `threshold` conflicts faces a hammer of
-// rivals committing to its target. The starvation ladder must get it
-// through within the prompt bound — whichever rung it takes — instead of
-// letting it lose indefinitely.
+// rivals committing to its target. Starvation escalation must get it
+// through within the prompt bound instead of letting it lose
+// indefinitely, in three inputs:
+//  * unpinned: the writer escalates to serial up front;
+//  * pinned: the writer holds a TxLock across transactions, so it skips
+//    the up-front escalation; if it keeps losing, its per-call
+//    serialize_after budget reaches the serial gate, which admits it (no
+//    other thread pins a hold);
+//  * pinned-rival: a hammer thread pins a TxLock too, so the gate refuses
+//    the writer and backoff alone must get it through.
+// Each input's time-to-commit is recorded as a test property.
 TEST_P(ScheduleStressTest, StarvedWriterCommitsUnderHammer) {
   if (GetParam() == "CGL") GTEST_SKIP() << "CGL cannot starve";
   stm::Config cfg;
@@ -115,29 +124,57 @@ TEST_P(ScheduleStressTest, StarvedWriterCommitsUnderHammer) {
   cfg.starvation_threshold = 4;
   stm::init(cfg);
 
-  stm::tvar<std::uint64_t> x{0};
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> hammers;
-  for (int i = 0; i < 2; ++i) {
-    hammers.emplace_back([&, i] {
-      Xoshiro256 rng(kSeed + static_cast<std::uint64_t>(i));
-      while (!stop.load()) {
-        stm::atomic([&](stm::Tx& tx) { x.set(tx, x.get(tx) + 1); });
-        jitter(rng);
-      }
-    });
-  }
+  enum class Pin { None, Writer, WriterAndRival };
+  const struct {
+    Pin pin;
+    const char* name;
+  } inputs[] = {{Pin::None, "unpinned"},
+                {Pin::Writer, "pinned"},
+                {Pin::WriterAndRival, "pinned-rival"}};
+  for (const auto& input : inputs) {
+    SCOPED_TRACE(input.name);
+    liveness::contention().reset();
+    stm::tvar<std::uint64_t> x{0};
+    std::atomic<bool> stop{false};
+    std::atomic<bool> rival_pins{false};
+    std::atomic<std::uint64_t> hammer_commits{0};
+    std::vector<std::thread> hammers;
+    for (int i = 0; i < 2; ++i) {
+      const bool pins = i == 0 && input.pin == Pin::WriterAndRival;
+      hammers.emplace_back([&, i, pins] {
+        Xoshiro256 rng(kSeed + static_cast<std::uint64_t>(i));
+        TxLock held;
+        if (pins) {
+          held.acquire();
+          rival_pins.store(true);
+        }
+        while (!stop.load()) {
+          stm::atomic([&](stm::Tx& tx) { x.set(tx, x.get(tx) + 1); });
+          hammer_commits.fetch_add(1);
+          jitter(rng);
+        }
+        if (pins) held.release();
+      });
+    }
+    if (input.pin == Pin::WriterAndRival) spin_until(rival_pins);
+    // The hammer is running before the writer starts.
+    while (hammer_commits.load() < 100) std::this_thread::yield();
 
-  for (std::uint32_t i = 0; i < cfg.starvation_threshold; ++i) {
-    liveness::contention().on_conflict_abort();
+    TxLock pinned;
+    if (input.pin != Pin::None) pinned.acquire();
+    for (std::uint32_t i = 0; i < cfg.starvation_threshold; ++i) {
+      liveness::contention().on_conflict_abort();
+    }
+    const std::uint64_t start = now_ns();
+    stm::atomic([&](stm::Tx& tx) { x.set(tx, x.get(tx) + 1'000'000); });
+    const std::uint64_t elapsed = now_ns() - start;
+    if (input.pin != Pin::None) pinned.release();
+    stop.store(true);
+    for (auto& t : hammers) t.join();
+    RecordProperty(std::string(input.name) + "_ns", std::to_string(elapsed));
+    EXPECT_LT(elapsed, kPromptNs) << "starved writer stalled " << elapsed;
+    EXPECT_GE(x.load_direct(), 1'000'000u);
   }
-  const std::uint64_t start = now_ns();
-  stm::atomic([&](stm::Tx& tx) { x.set(tx, x.get(tx) + 1'000'000); });
-  const std::uint64_t elapsed = now_ns() - start;
-  stop.store(true);
-  for (auto& t : hammers) t.join();
-  EXPECT_LT(elapsed, kPromptNs) << "starved writer stalled " << elapsed;
-  EXPECT_GE(x.load_direct(), 1'000'000u);
 }
 
 // A thread dies holding a TxLock while waiters are parked behind it. The
