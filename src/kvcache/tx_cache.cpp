@@ -87,10 +87,7 @@ void TxCache::remove_entry(stm::Tx& tx, Entry* e) {
   lru_unlink(tx, e);
   items_.set(tx, items_.get(tx) - 1);
   // Reclaim after commit + quiescence: no reader can still hold e.
-  tx.on_commit([this, e] {
-    count_.fetch_sub(1, std::memory_order_relaxed);
-    delete e;
-  });
+  tx.on_commit([e] { delete e; });
 }
 
 void TxCache::set(stm::Tx& tx, const std::string& key,
@@ -134,10 +131,7 @@ void TxCache::set(stm::Tx& tx, const std::string& key,
   head.set(tx, e);
   lru_push_front(tx, e);
   items_.set(tx, items_.get(tx) + 1);
-  tx.on_commit([this] {
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sets_.fetch_add(1, std::memory_order_relaxed);
-  });
+  tx.on_commit([this] { sets_.fetch_add(1, std::memory_order_relaxed); });
 }
 
 void TxCache::set(const std::string& key, const std::string& value) {
@@ -201,6 +195,10 @@ std::optional<long> TxCache::incr(stm::Tx& tx, const std::string& key,
 std::optional<long> TxCache::incr(const std::string& key, long delta) {
   const auto guard = health::gate().enter("kvcache.incr");
   return stm::atomic([&](stm::Tx& tx) { return incr(tx, key, delta); });
+}
+
+std::size_t TxCache::size() const {
+  return stm::atomic([this](stm::Tx& tx) { return items_.get(tx); });
 }
 
 CacheStats TxCache::stats_snapshot() const noexcept {

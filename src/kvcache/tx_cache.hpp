@@ -67,9 +67,10 @@ class TxCache {
   std::optional<long> incr(const std::string& key, long delta);
   std::optional<long> incr(stm::Tx& tx, const std::string& key, long delta);
 
-  std::size_t size() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
+  // Item count, read in its own transaction (or the enclosing one), so it
+  // never exceeds capacity. A counter bumped by commit hooks could: hooks
+  // of concurrent commits run in any order, not in commit order.
+  std::size_t size() const;
   std::size_t capacity() const noexcept { return capacity_; }
 
   CacheStats stats_snapshot() const noexcept;
@@ -101,7 +102,6 @@ class TxCache {
   stm::tvar<std::size_t> items_{0};
 
   // Monotonic mirrors for lock-free observation (tests/monitoring).
-  std::atomic<std::size_t> count_{0};
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> sets_{0};
