@@ -1,5 +1,7 @@
 #include "dedup/pipeline.hpp"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <atomic>
 #include <exception>
@@ -36,6 +38,24 @@ bool has_sync_stage(const Options& o) {
                                 o.mode == SyncMode::TmDeferAll);
 }
 
+// Open the staging file, first moving the previous container there, so
+// the new one overwrites its blocks in place. Truncating or unlinking a
+// fsynced file frees its blocks, and on a disk that discards freed blocks
+// that can cost more than the whole pass; a rename frees nothing. The
+// directory fsync makes the move durable before the first overwrite, so
+// a crash cannot leave a half-overwritten container under output_path.
+// Only a regular file is moved: anything else at output_path (a symlink,
+// say) stays until the publishing rename replaces it.
+io::PosixFile open_staging(const std::string& output_path,
+                           const std::string& staging) {
+  struct stat st{};
+  if (::lstat(output_path.c_str(), &st) == 0 && S_ISREG(st.st_mode)) {
+    io::rename_file(output_path, staging);
+    io::fsync_parent_dir(output_path);
+  }
+  return io::PosixFile::open_rw(staging);
+}
+
 struct PipelineCtx {
   explicit PipelineCtx(const Options& o, const std::string& output_path)
       : opts(o),
@@ -43,7 +63,8 @@ struct PipelineCtx {
         fragments(o.queue_capacity),
         done(o.queue_capacity),
         syncs(o.queue_capacity),
-        out(io::PosixFile::create(output_path)) {}
+        staging(output_path + ".partial"),
+        out(open_staging(output_path, staging)) {}
 
   // fsync the output, counting the call and its time.
   void sync_out() {
@@ -73,6 +94,7 @@ struct PipelineCtx {
   // that covers records 1..N, all of which were written before it was
   // queued.
   BoundedQueue<std::uint64_t> syncs;
+  const std::string staging;  // the container's name until it is published
   io::PosixFile out;
   std::mutex output_mutex;  // Pthread mode: the original output-stage lock
   std::atomic<std::uint64_t> chunks{0};
@@ -273,7 +295,10 @@ void output_loop(PipelineCtx& ctx) {
                                    : Key{pkt->frag, pkt->idx + 1};
     }
   }
-  // The final fsync, issued here in every mode.
+  // Cut off what is left of a longer previous container. The final fsync,
+  // issued here in every mode, then makes the length durable too.
+  ctx.out.truncate(sizeof(kMagic) +
+                   ctx.bytes_out.load(std::memory_order_relaxed));
   ctx.sync_out();
 }
 
@@ -329,6 +354,11 @@ PipelineStats dedup_stream(std::span<const std::byte> input,
   ctx.syncs.close();
   if (sync.joinable()) sync.join();
   if (ctx.error) std::rethrow_exception(ctx.error);
+
+  // Publish the complete, durable container, then make the rename durable.
+  ctx.out.close();
+  io::rename_file(ctx.staging, output_path);
+  io::fsync_parent_dir(output_path);
 
   stats.chunks = ctx.chunks.load();
   stats.unique_chunks = ctx.unique.load();

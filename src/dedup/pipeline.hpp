@@ -38,7 +38,9 @@ struct PipelineStats {
   std::uint64_t dup_chunks = 0;
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
-  std::uint64_t fsyncs = 0;  // records / fsync_every, plus the final one
+  // Output-file fsyncs: records / fsync_every, plus the final one. The
+  // directory fsync after publishing is not counted.
+  std::uint64_t fsyncs = 0;
   double fsync_s = 0.0;      // time inside fsync, summed over the calls
   double seconds = 0.0;
 };
@@ -54,9 +56,24 @@ struct PipelineStats {
 // fsync per request, in order): records up to N are durable once that
 // stage's request for N completes, while the output stage goes on.
 //
+// Publishing: the container is written to a staging file beside the
+// output, `<output_path>.partial`. If a regular file is at output_path
+// when the pass starts, it is renamed to that name first (and the
+// directory fsynced), and the new container overwrites its blocks from
+// offset 0 instead of truncating them away. The output stage cuts the
+// file to the container's length before the final fsync, so that fsync
+// also makes the length durable.
+// Once every stage has joined without error, the staging file is renamed
+// onto output_path and the directory is fsynced. So output_path holds
+// either no container or a complete, durable one. The previous container
+// is gone from the start of the pass, as with a truncating open. One
+// writer per path is assumed, and a symlink at output_path is replaced,
+// not followed.
+//
 // The first exception from any stage (an I/O error, say) stops the
 // pipeline: every stage drains and is joined, then dedup_stream rethrows
-// it. The output file is then incomplete.
+// it. Nothing is published then: output_path holds no container, and the
+// incomplete staging file is left for the next pass to reuse.
 PipelineStats dedup_stream(std::span<const std::byte> input,
                            const std::string& output_path,
                            const Options& opts = {});

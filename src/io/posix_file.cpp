@@ -1,6 +1,7 @@
 #include "io/posix_file.hpp"
 
 #include <fcntl.h>
+#include <stdio.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -246,6 +247,12 @@ void PosixFile::seek_set(std::uint64_t offset) {
   }
 }
 
+void PosixFile::truncate(std::uint64_t length) {
+  while (::ftruncate(fd_, static_cast<off_t>(length)) != 0) {
+    if (errno != EINTR) throw_errno("ftruncate");
+  }
+}
+
 void PosixFile::sync() {
   for (;;) {
     const faultsim::Fault f = consult(faultsim::Op::Fsync, fd_);
@@ -285,6 +292,10 @@ void fsync_parent_dir(const std::string& path) {
     throw std::system_error(err, std::generic_category(), "fsync dir");
   }
   ::close(fd);
+}
+
+void rename_file(const std::string& from, const std::string& to) {
+  if (::rename(from.c_str(), to.c_str()) != 0) throw_errno("rename");
 }
 
 void fsync_path(const std::string& path) {

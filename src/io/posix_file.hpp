@@ -71,6 +71,9 @@ class PosixFile {
 
   void seek_set(std::uint64_t offset);
 
+  // Set the file's length (ftruncate): cut a tail, or extend with zeros.
+  void truncate(std::uint64_t length);
+
   // Flush to stable storage (fsync).
   void sync();
 
@@ -86,6 +89,10 @@ class PosixFile {
 // directory — and for truncation also the file itself — has been synced).
 // Throws std::system_error on failure.
 void fsync_parent_dir(const std::string& path);
+
+// rename(2), throwing std::system_error on failure. The new name is not
+// durable until the directory is fsynced (fsync_parent_dir).
+void rename_file(const std::string& from, const std::string& to);
 
 // Open `path` read-only and fsync it (truncation/size-metadata barrier
 // for files the caller does not hold open for writing).

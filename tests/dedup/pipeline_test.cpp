@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <filesystem>
 #include <string>
 #include <system_error>
 #include <tuple>
@@ -158,6 +159,26 @@ TEST_P(PipelineTest, FsyncCountFollowsFlushPolicy) {
   EXPECT_EQ(end_only.fsyncs, 1u);
 }
 
+// A pass over a path that holds a longer container reuses its file: the
+// new container is cut to its own length, published under the path, and
+// makes no fsync beyond the flush policy's.
+TEST_P(PipelineTest, SmallerContainerReplacesLargerOne) {
+  const std::string out = dir_.file("out.dd");
+  const std::string large = make_synthetic_input(
+      {.total_bytes = 300 * 1024, .dup_fraction = 0.2, .seed = 11});
+  const PipelineStats first = dedup_stream(large, out, options());
+
+  const std::string small = make_synthetic_input(
+      {.total_bytes = 100 * 1024, .dup_fraction = 0.4, .seed = 12});
+  const Options o = options();
+  const PipelineStats stats = dedup_stream(small, out, o);
+  ASSERT_LT(stats.bytes_out, first.bytes_out);
+  EXPECT_EQ(restore_str(io::read_file(out)), small);
+  EXPECT_EQ(std::filesystem::file_size(out), stats.bytes_out);
+  EXPECT_FALSE(std::filesystem::exists(out + ".partial"));
+  EXPECT_EQ(stats.fsyncs, stats.chunks / o.fsync_every + 1);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Modes, PipelineTest,
     ::testing::Values(
@@ -184,35 +205,64 @@ INSTANTIATE_TEST_SUITE_P(
 
 // A failed write or fsync in any stage stops the pipeline: dedup_stream
 // joins every stage and rethrows the error instead of terminating or
-// hanging.
+// hanging. Each failing pass runs over a path that already holds a
+// container, publishes nothing, and leaves a staging file that the next
+// clean pass reuses.
 class PipelineFaultTest : public ::testing::TestWithParam<SyncMode> {
  protected:
-  void SetUp() override { stm::init({.backend = "tl2"}); }
+  void SetUp() override {
+    stm::init({.backend = "tl2"});
+    clean_ = dedup_stream(input_, out_, options());
+  }
 
-  void expect_eio(const faultsim::Plan& plan) {
-    const std::string input = make_synthetic_input(
-        {.total_bytes = 256 * 1024, .dup_fraction = 0.4, .seed = 10});
+  Options options() const {
     Options o;
     o.mode = GetParam();
     o.workers = 3;
     o.fsync_every = 4;
-    const faultsim::FaultScope scope(plan);
-    try {
-      dedup_stream(input, dir_.file("out.dd"), o);
-      ADD_FAILURE() << "dedup_stream returned despite the injected EIO";
-    } catch (const std::system_error& e) {
-      EXPECT_EQ(e.code().value(), EIO) << e.what();
+    return o;
+  }
+
+  void expect_eio(const faultsim::Plan& plan) {
+    {
+      const faultsim::FaultScope scope(plan);
+      try {
+        dedup_stream(input_, out_, options());
+        ADD_FAILURE() << "dedup_stream returned despite the injected EIO";
+      } catch (const std::system_error& e) {
+        EXPECT_EQ(e.code().value(), EIO) << e.what();
+      }
+      EXPECT_EQ(faultsim::engine().injected(plan.op), 1u);
     }
-    EXPECT_EQ(faultsim::engine().injected(plan.op), 1u);
+    EXPECT_FALSE(std::filesystem::exists(out_)) << "failed pass published";
+    EXPECT_TRUE(std::filesystem::exists(out_ + ".partial"));
+
+    const PipelineStats again = dedup_stream(input_, out_, options());
+    EXPECT_EQ(restore_str(io::read_file(out_)), input_);
+    EXPECT_EQ(again.bytes_out, clean_.bytes_out);
+    EXPECT_FALSE(std::filesystem::exists(out_ + ".partial"));
   }
 
   io::TempDir dir_{"adtm-pipeline-fault"};
+  const std::string out_ = dir_.file("out.dd");
+  const std::string input_ = make_synthetic_input(
+      {.total_bytes = 256 * 1024, .dup_fraction = 0.4, .seed = 10});
+  PipelineStats clean_;  // the pass that put a container at out_
 };
 
 TEST_P(PipelineFaultTest, FsyncErrorIsRethrown) {
   expect_eio({.op = faultsim::Op::Fsync,
               .fault = faultsim::Fault::error(EIO),
               .skip = 3});
+}
+
+// The last fsync of the pass fails. In TmDeferAll the sync stage may
+// still be behind the output thread, so that call can be an intermediate
+// fsync rather than the final one; either way nothing is published.
+TEST_P(PipelineFaultTest, LastFsyncErrorPublishesNothing) {
+  expect_eio({.op = faultsim::Op::Fsync,
+              .fault = faultsim::Fault::error(EIO),
+              .skip = clean_.fsyncs - 1});
 }
 
 TEST_P(PipelineFaultTest, WriteErrorIsRethrown) {

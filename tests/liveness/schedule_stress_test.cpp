@@ -106,18 +106,25 @@ TEST_P(ScheduleStressTest, CvWaitCycleDetectedAndResolved) {
 }
 
 // A writer that has already lost `threshold` conflicts faces a hammer of
-// rivals committing to its target. Starvation escalation must get it
-// through within the prompt bound instead of letting it lose
-// indefinitely, in three inputs:
+// rivals committing to its target. The writer spins for kWriterHoldNs
+// between its read of the target and its write, so a hammer commit in
+// that window dooms a speculative attempt and the writer really keeps
+// losing. Starvation escalation must get it through within the prompt
+// bound instead of letting it lose indefinitely, in three inputs:
 //  * unpinned: the writer escalates to serial up front;
 //  * pinned: the writer holds a TxLock across transactions, so it skips
-//    the up-front escalation; if it keeps losing, its per-call
+//    the up-front escalation; while it keeps losing, its per-call
 //    serialize_after budget reaches the serial gate, which admits it (no
 //    other thread pins a hold);
 //  * pinned-rival: a hammer thread pins a TxLock too, so the gate refuses
-//    the writer and backoff alone must get it through.
-// Each input's time-to-commit is recorded as a test property.
+//    the writer and backoff alone must get it through. This writer does
+//    not spin: backoff does not slow the hammer, so a writer that holds
+//    its read for 50 us commits only when both rivals happen to pause
+//    that long (up to 7 s under HTMSim).
+// Each input's time-to-commit and attempt count are recorded as test
+// properties.
 TEST_P(ScheduleStressTest, StarvedWriterCommitsUnderHammer) {
+  constexpr std::uint64_t kWriterHoldNs = 50'000;
   if (GetParam() == "CGL") GTEST_SKIP() << "CGL cannot starve";
   stm::Config cfg;
   cfg.backend = GetParam();
@@ -128,9 +135,10 @@ TEST_P(ScheduleStressTest, StarvedWriterCommitsUnderHammer) {
   const struct {
     Pin pin;
     const char* name;
-  } inputs[] = {{Pin::None, "unpinned"},
-                {Pin::Writer, "pinned"},
-                {Pin::WriterAndRival, "pinned-rival"}};
+    std::uint64_t hold_ns;
+  } inputs[] = {{Pin::None, "unpinned", kWriterHoldNs},
+                {Pin::Writer, "pinned", kWriterHoldNs},
+                {Pin::WriterAndRival, "pinned-rival", 0}};
   for (const auto& input : inputs) {
     SCOPED_TRACE(input.name);
     liveness::contention().reset();
@@ -165,13 +173,23 @@ TEST_P(ScheduleStressTest, StarvedWriterCommitsUnderHammer) {
     for (std::uint32_t i = 0; i < cfg.starvation_threshold; ++i) {
       liveness::contention().on_conflict_abort();
     }
+    std::uint64_t attempts = 0;
     const std::uint64_t start = now_ns();
-    stm::atomic([&](stm::Tx& tx) { x.set(tx, x.get(tx) + 1'000'000); });
+    stm::atomic([&](stm::Tx& tx) {
+      ++attempts;
+      const std::uint64_t v = x.get(tx);
+      const std::uint64_t until = now_ns() + input.hold_ns;
+      while (now_ns() < until) {
+      }
+      x.set(tx, v + 1'000'000);
+    });
     const std::uint64_t elapsed = now_ns() - start;
     if (input.pin != Pin::None) pinned.release();
     stop.store(true);
     for (auto& t : hammers) t.join();
     RecordProperty(std::string(input.name) + "_ns", std::to_string(elapsed));
+    RecordProperty(std::string(input.name) + "_attempts",
+                   std::to_string(attempts));
     EXPECT_LT(elapsed, kPromptNs) << "starved writer stalled " << elapsed;
     EXPECT_GE(x.load_direct(), 1'000'000u);
   }
