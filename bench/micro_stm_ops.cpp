@@ -74,6 +74,56 @@ void BM_WriterTx(benchmark::State& state) {
 }
 BENCHMARK(BM_WriterTx)->Apply(AllBackends);
 
+// Direct-mode barrier cost per word: the uninstrumented accesses of a CGL
+// transaction and of a serial-irrevocable one (TL2 after
+// become_irrevocable). One iteration is one tvar access, and every
+// iteration runs inside a single transaction, so the rows hold the
+// barrier alone, without begin or commit.
+constexpr std::int64_t kDirectCgl = 0;
+constexpr std::int64_t kDirectIrrevocableTl2 = 1;
+
+void DirectModes(benchmark::internal::Benchmark* b) {
+  b->Arg(kDirectCgl)->Arg(kDirectIrrevocableTl2);
+}
+
+template <typename Access>
+void run_direct(benchmark::State& state, Access access) {
+  const bool irrevocable = state.range(0) == kDirectIrrevocableTl2;
+  stm::Config cfg;
+  cfg.backend = irrevocable ? "tl2" : "cgl";
+  stm::init(cfg);
+  stm::atomic([&](stm::Tx& tx) {
+    // The speculative TL2 attempt restarts here, before the timing loop.
+    if (irrevocable) stm::become_irrevocable(tx);
+    for (auto _ : state) access(tx);
+  });
+  state.SetLabel(irrevocable ? "TL2/irrevocable" : "CGL");
+}
+
+constexpr std::size_t kDirectVars = 64;  // a power of two
+
+void BM_DirectRead(benchmark::State& state) {
+  auto vars = std::make_unique<stm::tvar<long>[]>(kDirectVars);
+  std::size_t i = 0;
+  run_direct(state, [&](stm::Tx& tx) {
+    benchmark::DoNotOptimize(vars[i].get(tx));
+    i = (i + 1) & (kDirectVars - 1);
+  });
+}
+BENCHMARK(BM_DirectRead)->Apply(DirectModes);
+
+void BM_DirectWrite(benchmark::State& state) {
+  auto vars = std::make_unique<stm::tvar<long>[]>(kDirectVars);
+  std::size_t i = 0;
+  long n = 0;
+  run_direct(state, [&](stm::Tx& tx) {
+    vars[i].set(tx, ++n);
+    i = (i + 1) & (kDirectVars - 1);
+  });
+  benchmark::DoNotOptimize(vars[0].load_direct());
+}
+BENCHMARK(BM_DirectWrite)->Apply(DirectModes);
+
 // Every backend at one thread and at min(4, cores) threads. Multi-thread
 // runs give each thread its own tvar (the counter is a local), so the
 // rows measure per-commit costs without data conflicts; thread 0 does the

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "common/align.hpp"
 #include "common/keygen.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -62,8 +63,9 @@ struct ScenarioConfig {
   std::size_t scan_len = 50;
   std::uint64_t rate = 0;       // open-loop target ops/s over all threads;
                                 // 0 = closed loop
-  std::uint64_t spin_ns = 0;    // planted per-op slowdown (perf-gate
-                                // self-test; see tools/perf_gate.sh)
+  std::uint64_t spin_ns = 0;    // planted slowdown inside every attempt
+                                // (perf-gate self-test; see
+                                // tools/perf_gate.sh)
   std::uint64_t seed = 42;
 };
 
@@ -112,6 +114,10 @@ void print_scenario(const std::string& scenario, const std::string& algo,
 
 namespace detail {
 
+// The planted slowdown. Workers call it inside their transaction bodies,
+// so it lengthens every attempt (and the time a CGL or 2PL attempt holds
+// its locks) as a slower barrier or commit would; spun after the
+// transaction it would also thin out contention.
 inline void spin_for(std::uint64_t ns) noexcept {
   if (ns == 0) return;
   const std::uint64_t until = now_ns() + ns;
@@ -126,15 +132,21 @@ struct EngineOut {
   std::uint64_t p50 = 0, p99 = 0, p999 = 0;
 };
 
+// One worker's measurement state, on cache lines of its own: workers
+// share nothing while they record, and run_engine merges at the end.
+struct alignas(kCacheLine) WorkerTally {
+  LatencyHistogram hist;
+  std::uint64_t ops = 0;
+  std::int64_t net = 0;
+};
+
 // Run cfg.threads workers for cfg.duration_ms. make_worker(tid) returns a
 // callable that performs ONE operation (one transaction) and returns its
 // net container-size delta. Latency is per operation; under open-loop
 // arrival it is measured from the scheduled arrival instant.
 template <typename MakeWorker>
 EngineOut run_engine(const ScenarioConfig& cfg, MakeWorker&& make_worker) {
-  LatencyHistogram hist;
-  std::vector<std::uint64_t> ops(cfg.threads, 0);
-  std::vector<std::int64_t> net(cfg.threads, 0);
+  const auto tallies = std::make_unique<WorkerTally[]>(cfg.threads);
   std::atomic<bool> go{false};
 
   // Per-thread open-loop period: each of T threads serves every T-th
@@ -149,6 +161,7 @@ EngineOut run_engine(const ScenarioConfig& cfg, MakeWorker&& make_worker) {
   for (unsigned t = 0; t < cfg.threads; ++t) {
     pool.emplace_back([&, t] {
       auto work = make_worker(t);
+      WorkerTally& tally = tallies[t];
       while (!go.load(std::memory_order_acquire)) {
       }
       const std::uint64_t start = start_ns.load(std::memory_order_relaxed);
@@ -165,10 +178,9 @@ EngineOut run_engine(const ScenarioConfig& cfg, MakeWorker&& make_worker) {
           t0 = scheduled;
           scheduled += period_ns;
         }
-        net[t] += work();
-        spin_for(cfg.spin_ns);
-        hist.record(now_ns() - t0);
-        ++ops[t];
+        tally.net += work();
+        tally.hist.record(now_ns() - t0);
+        ++tally.ops;
       }
     });
   }
@@ -179,9 +191,11 @@ EngineOut run_engine(const ScenarioConfig& cfg, MakeWorker&& make_worker) {
 
   EngineOut out;
   out.wall_s = timer.elapsed_s();
+  LatencyHistogram hist;
   for (unsigned t = 0; t < cfg.threads; ++t) {
-    out.ops += ops[t];
-    out.net += net[t];
+    out.ops += tallies[t].ops;
+    out.net += tallies[t].net;
+    hist.merge(tallies[t].hist);
   }
   out.p50 = hist.percentile(50);
   out.p99 = hist.percentile(99);
@@ -239,14 +253,20 @@ class YcsbRunner {
                         ? KeyPicker(*spec_, tseed)
                         : KeyPicker(cfg.key_space, tseed);
       Xoshiro256 rng(tseed ^ 0xadc0ffee);
-      return [this, &cfg, picker, rng]() mutable -> std::int64_t {
+      // `sink` folds what each read returns. It is the worker's own, so
+      // no two workers write one word per op.
+      return [this, &cfg, picker, rng,
+              sink = std::uint64_t{0}]() mutable -> std::int64_t {
         const std::uint64_t key = picker.next();
         const unsigned roll =
             static_cast<unsigned>(rng.next_below(100));
         if (roll < cfg.read_pct) {
-          const auto v =
-              stm::atomic([&](stm::Tx& tx) { return map_.get(tx, key); });
-          sink_ = sink_ + (v.has_value() ? 1 : 0);
+          const auto v = stm::atomic([&](stm::Tx& tx) {
+            auto got = map_.get(tx, key);
+            detail::spin_for(cfg.spin_ns);
+            return got;
+          });
+          sink += v.has_value() ? 1 : 0;
           return 0;
         }
         if (roll < cfg.read_pct + cfg.scan_pct) {
@@ -261,20 +281,27 @@ class YcsbRunner {
                   acc += v;
                   return true;
                 });
-            sink_ = sink_ + acc;
+            sink += acc;
+            detail::spin_for(cfg.spin_ns);
             return seen;
           });
-          sink_ = sink_ + n;
+          sink += n;
           return 0;
         }
         const bool is_put = ((roll - cfg.read_pct - cfg.scan_pct) & 1) == 0;
         if (is_put) {
-          const bool inserted = stm::atomic(
-              [&](stm::Tx& tx) { return map_.put(tx, key, key + roll); });
+          const bool inserted = stm::atomic([&](stm::Tx& tx) {
+            const bool fresh = map_.put(tx, key, key + roll);
+            detail::spin_for(cfg.spin_ns);
+            return fresh;
+          });
           return inserted ? 1 : 0;
         }
-        const bool removed =
-            stm::atomic([&](stm::Tx& tx) { return map_.remove(tx, key); });
+        const bool removed = stm::atomic([&](stm::Tx& tx) {
+          const bool gone = map_.remove(tx, key);
+          detail::spin_for(cfg.spin_ns);
+          return gone;
+        });
         return removed ? -1 : 0;
       };
     });
@@ -291,8 +318,6 @@ class YcsbRunner {
   std::uint64_t key_space_;
   std::uint64_t seed_;
   std::unique_ptr<ZipfianSpec> spec_;
-  // Keeps reads observable without std::atomic traffic per op.
-  volatile std::uint64_t sink_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -334,7 +359,7 @@ class WarehouseRunner {
       const std::uint64_t tseed = cfg.seed * 0x51ed2701ULL + tid * 131 + 3;
       auto picker = cfg.dist == Dist::Zipf ? KeyPicker(*spec_, tseed)
                                            : KeyPicker(items_, tseed);
-      return [this, picker]() mutable -> std::int64_t {
+      return [this, &cfg, picker]() mutable -> std::int64_t {
         std::uint64_t items[kItemsPerOrder];
         for (unsigned i = 0; i < kItemsPerOrder; ++i) {
           items[i] = picker.next();
@@ -355,6 +380,7 @@ class WarehouseRunner {
             stock_.put(tx, items[i], have == 0 ? 100 : have - 1);
           }
           orders_.put(tx, oid, items[0]);
+          detail::spin_for(cfg.spin_ns);
         });
         return 1;  // order ids are unique: every commit inserts one row
       };

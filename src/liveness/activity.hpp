@@ -38,8 +38,9 @@ extern CacheAligned<ActivitySlot> g_activity[kMaxThreads];
 }
 
 // Publish the calling thread's state. `stamp` is the transition time in
-// now_ns() units; pass 0 to keep the previous stamp (used when flipping
-// back from a park state to InTx without re-reading the clock).
+// now_ns() units; pass 0 to keep the previous stamp. The watchdog reads
+// the stamp only for the wait states and DeferredOp, so InTx and Idle
+// (one of each per transaction) pass 0 and read no clock.
 void set_state(ThreadState s, std::uint64_t stamp) noexcept;
 
 // Sample another thread's state (watchdog only; racy by design).

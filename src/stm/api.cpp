@@ -650,7 +650,7 @@ struct ActivityScope {
   ~ActivityScope() {
     if (liveness::has_wait_edge()) liveness::clear_wait();
     obs::lock_wait_abandon();
-    liveness::set_state(liveness::ThreadState::Idle, now_ns());
+    liveness::set_state(liveness::ThreadState::Idle, 0);  // untimed state
   }
 };
 }  // namespace

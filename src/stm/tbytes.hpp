@@ -46,7 +46,7 @@ class tbytes {
   bool empty() const noexcept { return size_ == 0; }
 
   // Transactional read of the whole buffer into `out` (must hold size()
-  // bytes). Every word goes through the speculative read path.
+  // bytes). Every word goes through the transactional read barrier.
   void read(Tx& tx, std::byte* out) const {
     auto* dst = reinterpret_cast<unsigned char*>(out);
     for (std::size_t w = 0; w < words_.size(); ++w) {

@@ -6,7 +6,6 @@
 #include "common/backoff.hpp"
 #include "common/panic.hpp"
 #include "common/stats.hpp"
-#include "common/timing.hpp"
 #include "common/tsan.hpp"
 #include "liveness/activity.hpp"
 #include "stm/backend.hpp"
@@ -83,8 +82,8 @@ void Tx::begin(Algo algo, Mode mode, std::uint32_t attempt) {
   // A wait edge published by the previous attempt (which parked on a lock
   // and was woken) is stale once a new attempt starts.
   if (liveness::has_wait_edge()) liveness::clear_wait();
-  liveness::set_state(liveness::ThreadState::InTx,
-                      attempt == 1 ? now_ns() : 0);
+  // No stamp: the watchdog times only the wait and deferred-op states.
+  liveness::set_state(liveness::ThreadState::InTx, 0);
   in_tx_ = true;
   stats().add(Counter::TxStart);
   tmsan::on_tx_begin(mode_ != Mode::Speculative);
@@ -316,18 +315,6 @@ void Tx::capture_watch() {
 // Access paths
 // ---------------------------------------------------------------------------
 
-std::uint64_t Tx::read_word(const detail::Word* addr) {
-  ADTM_INVARIANT(in_tx_, "read_word outside a transaction");
-  if (mode_ != Mode::Speculative) {
-    const std::uint64_t v = addr->load(std::memory_order_relaxed);
-    tmsan::on_tx_read(addr, v);
-    return v;
-  }
-  if (algo_ == Algo::NOrec) return read_word_norec(addr);
-  if (algo_ == Algo::TwoPL) return twopl_read(addr);
-  return read_word_speculative(addr);
-}
-
 // Shared busy-orec arbitration for the speculative access paths. Returns
 // normally to keep spinning, throws ConflictAbort to give up; `spins`
 // counts busy samples in the caller's loop.
@@ -342,6 +329,15 @@ void Tx::arbitrate_busy_orec(std::uint32_t& spins) {
 }
 
 std::uint64_t Tx::read_word_speculative(const detail::Word* addr) {
+  if (algo_ == Algo::NOrec) return read_word_norec(addr);
+  if (algo_ == Algo::TwoPL) return twopl_read(addr);
+  return read_word_orec(addr);
+}
+
+// Out of line so that the dispatch above stays a frameless jump: inlined
+// there, this path's register saves would run before the NOrec and 2PL
+// branches too (measured: NOrec reads about 0.7 ns slower each).
+[[gnu::noinline]] std::uint64_t Tx::read_word_orec(const detail::Word* addr) {
   std::uint64_t buffered;
   if (algo_ == Algo::TL2 && writes_.lookup(addr, &buffered)) {
     return buffered;
@@ -381,14 +377,7 @@ std::uint64_t Tx::read_word_speculative(const detail::Word* addr) {
   }
 }
 
-void Tx::write_word(detail::Word* addr, std::uint64_t value) {
-  ADTM_INVARIANT(in_tx_, "write_word outside a transaction");
-  if (mode_ != Mode::Speculative) {
-    wrote_direct_ = true;
-    addr->store(value, std::memory_order_relaxed);
-    tmsan::on_tx_write(addr, value);
-    return;
-  }
+void Tx::write_word_speculative(detail::Word* addr, std::uint64_t value) {
   if (algo_ == Algo::TL2 || algo_ == Algo::NOrec) {
     writes_.insert(addr, value);
     tmsan::on_tx_write(addr, value);

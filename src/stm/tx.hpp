@@ -8,9 +8,11 @@
 #include <functional>
 #include <vector>
 
+#include "common/panic.hpp"
 #include "obs/trace.hpp"
 #include "stm/backend.hpp"
 #include "stm/logs.hpp"
+#include "tmsan/tmsan.hpp"
 
 namespace adtm::stm {
 
@@ -24,13 +26,33 @@ class Tx {
   Tx(const Tx&) = delete;
   Tx& operator=(const Tx&) = delete;
 
-  // --- speculative word access (used by tvar<T>; may be used directly) ---
+  // --- word access (used by tvar<T> and tbytes; may be used directly) ---
+  //
+  // The direct modes (serial-irrevocable, CGL) run uninstrumented: the
+  // barrier is the mode test, one relaxed access and the tmsan gate,
+  // inlined into the caller. Every speculative access takes the one
+  // out-of-line entry, which dispatches on the algorithm.
 
   // Transactionally read one 64-bit word.
-  std::uint64_t read_word(const detail::Word* addr);
+  std::uint64_t read_word(const detail::Word* addr) {
+    ADTM_INVARIANT(in_tx_, "read_word outside a transaction");
+    if (mode_ == Mode::Speculative) return read_word_speculative(addr);
+    const std::uint64_t v = addr->load(std::memory_order_relaxed);
+    tmsan::on_tx_read(addr, v);
+    return v;
+  }
 
   // Transactionally write one 64-bit word.
-  void write_word(detail::Word* addr, std::uint64_t value);
+  void write_word(detail::Word* addr, std::uint64_t value) {
+    ADTM_INVARIANT(in_tx_, "write_word outside a transaction");
+    if (mode_ == Mode::Speculative) {
+      write_word_speculative(addr, value);
+      return;
+    }
+    wrote_direct_ = true;
+    addr->store(value, std::memory_order_relaxed);
+    tmsan::on_tx_write(addr, value);
+  }
 
   // --- transaction-lifetime services ---
 
@@ -118,7 +140,12 @@ class Tx {
   void arbitrate_busy_orec(std::uint32_t& spins);
   void lock_orec_for_write(Orec& o);
   void check_htm_budget();
+  // The speculative barriers: one out-of-line entry each, dispatching on
+  // algo_. The read entry jumps to its path; the orec path (TL2, Eager,
+  // HTMSim) is read_word_orec.
   std::uint64_t read_word_speculative(const detail::Word* addr);
+  std::uint64_t read_word_orec(const detail::Word* addr);
+  void write_word_speculative(detail::Word* addr, std::uint64_t value);
   void validate_reads();  // throws ConflictAbort on failure
 
   // NOrec paths.

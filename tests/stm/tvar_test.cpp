@@ -199,5 +199,35 @@ TEST(TvarCgl, CancelBeforeWriteIsAllowedUnderCgl) {
   EXPECT_EQ(x.load_direct(), 1);
 }
 
+// The in-transaction check stays in the inlined barriers: a Tx reference
+// kept past the end of its transaction panics on use, in every mode.
+stm::Tx& ended_transaction() {
+  stm::Tx* kept = nullptr;
+  stm::atomic([&](stm::Tx& tx) { kept = &tx; });
+  return *kept;
+}
+
+TEST(TvarDeathTest, GetOutsideTransactionPanics) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const char* backend : {"tl2", "cgl"}) {
+    stm::init({.backend = backend});
+    stm::tvar<int> x{1};
+    EXPECT_DEATH((void)x.get(ended_transaction()),
+                 "read_word outside a transaction")
+        << backend;
+  }
+}
+
+TEST(TvarDeathTest, SetOutsideTransactionPanics) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const char* backend : {"tl2", "cgl"}) {
+    stm::init({.backend = backend});
+    stm::tvar<int> x{1};
+    EXPECT_DEATH(x.set(ended_transaction(), 2),
+                 "write_word outside a transaction")
+        << backend;
+  }
+}
+
 }  // namespace
 }  // namespace adtm

@@ -116,6 +116,73 @@ TEST_F(TmsanTest, PrivatizedAccessIsClean) {
   EXPECT_EQ(tmsan::violation_count(), 0u) << tmsan::report();
 }
 
+// --- direct-mode barriers ---------------------------------------------------
+
+// CGL and serial-irrevocable transactions access words without
+// instrumentation, through the barrier's inlined direct branch; the
+// sanitizer must still see those accesses. The planted race: while the
+// direct-mode transaction has read (or written) x, another thread stores
+// to x directly.
+enum class DirectAccess { Read, Write };
+
+void run_direct_mode_race(bool irrevocable, DirectAccess access) {
+  stm::tvar<int> x{0};
+  std::atomic<bool> tx_touched{false};
+  std::atomic<bool> raw_done{false};
+  std::thread racer([&] {
+    while (!tx_touched.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    x.store_direct(99);  // the bug: unprivatized direct store
+    raw_done.store(true, std::memory_order_release);
+  });
+  stm::atomic([&](stm::Tx& tx) {
+    // Under TL2 this restarts the body in serial-irrevocable mode before
+    // any access; under CGL the body is direct from the start.
+    if (irrevocable) stm::become_irrevocable(tx);
+    EXPECT_TRUE(tx.irrevocable());
+    const auto touch = [&] {
+      if (access == DirectAccess::Read) {
+        (void)x.get(tx);
+      } else {
+        x.set(tx, 1);
+      }
+    };
+    touch();
+    tx_touched.store(true, std::memory_order_release);
+    while (!raw_done.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    touch();
+  });
+  racer.join();
+}
+
+TEST_F(TmsanTest, SeesCglReadsAndWrites) {
+  stm::init({.backend = "cgl"});
+  tmsan::enable(tmsan::kCheckRace);
+  run_direct_mode_race(false, DirectAccess::Read);
+  const std::size_t after_read =
+      tmsan::violation_count(tmsan::ViolationKind::MixedModeRace);
+  EXPECT_GE(after_read, 1u) << tmsan::report();
+  run_direct_mode_race(false, DirectAccess::Write);
+  EXPECT_GT(tmsan::violation_count(tmsan::ViolationKind::MixedModeRace),
+            after_read)
+      << tmsan::report();
+}
+
+TEST_F(TmsanTest, SeesSerialIrrevocableReadsAndWrites) {
+  tmsan::enable(tmsan::kCheckRace);
+  run_direct_mode_race(true, DirectAccess::Read);
+  const std::size_t after_read =
+      tmsan::violation_count(tmsan::ViolationKind::MixedModeRace);
+  EXPECT_GE(after_read, 1u) << tmsan::report();
+  run_direct_mode_race(true, DirectAccess::Write);
+  EXPECT_GT(tmsan::violation_count(tmsan::ViolationKind::MixedModeRace),
+            after_read)
+      << tmsan::report();
+}
+
 // --- deferral contract -----------------------------------------------------
 
 // The planted coverage bug: the epilogue touches `covered` (declared

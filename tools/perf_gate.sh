@@ -7,17 +7,21 @@
 #   BENCH_oltp.json      oltp_ycsb + oltp_warehouse  (throughput ratio)
 #   BENCH_health.json    micro_health                (per-op time ratio)
 #   BENCH_crashsim.json  micro_crashsim              (p50 time ratio)
+#   BENCH_stm.json       micro_stm_ops               (per-op time ratio)
 #
 # Throughput entries (name ending /tput) fail when the fresh run achieves
 # less than (1 - ADTM_PERF_BAND) of the committed ops/ns — the default
 # band of 0.45 tolerates scheduler noise but a planted slowdown lands
-# outside it (ADTM_OLTP_SPIN_NS=110000 fails every tput row in both
-# passes). Time entries fail when fresh exceeds ADTM_PERF_BAND_TIME x
-# committed (default 4.0 — recovery and shed-path timings are noisy at
-# micro scale). Only names present in BOTH the committed snapshot and the
-# fresh quick run are compared; the committed file may hold more
-# (full-matrix) entries. When a committed file repeats a key, the last
-# occurrence wins.
+# outside it (ADTM_OLTP_SPIN_NS, spun inside every transaction attempt,
+# fails every tput row in both passes at the value DESIGN.md gives).
+# Time entries fail when fresh exceeds ADTM_PERF_BAND_TIME x committed
+# (default 4.0 — recovery and shed-path timings are noisy at micro
+# scale). The quick pass runs micro_stm_ops with a short minimum time;
+# its rows are per-iteration times, comparable with the committed ones.
+# Only names present in BOTH the committed snapshot and the fresh quick
+# run are compared; the committed file may hold more (full-matrix)
+# entries. When a committed file repeats a key, the last occurrence
+# wins.
 #
 # A failing comparison re-measures once before judging — one bad
 # scheduling quantum should not fail a commit.
@@ -29,7 +33,7 @@
 #
 # Usage:
 #   tools/perf_gate.sh [build-dir]       # run the gate (default ./build)
-#   tools/perf_gate.sh --update [dir]    # refresh all three snapshots with
+#   tools/perf_gate.sh --update [dir]    # refresh all four snapshots with
 #                                        # the per-row median of 3 runs
 #                                        # (full OLTP matrix), then exit
 set -u
@@ -56,8 +60,9 @@ YCSB="$BUILD/bench/oltp_ycsb"
 WH="$BUILD/bench/oltp_warehouse"
 HEALTH="$BUILD/bench/micro_health"
 CRASHSIM="$BUILD/bench/micro_crashsim"
+STM="$BUILD/bench/micro_stm_ops"
 
-for bin in "$YCSB" "$WH" "$HEALTH" "$CRASHSIM"; do
+for bin in "$YCSB" "$WH" "$HEALTH" "$CRASHSIM" "$STM"; do
   if [ ! -x "$bin" ]; then
     echo "perf_gate: missing bench binary $bin (build first) — SKIP"
     exit 77
@@ -79,19 +84,21 @@ parse() {
   }' "$1"
 }
 
-# median_report <key_iters> <run files...>: one adtm-bench/v1 file that
-# holds, per (binary, name, label) entry, the entry line of the run whose
-# iterations/real_ns is the median — the rate of a tput row, the count of
-# an abort row, the inverse of a per-op or percentile time. With
+# median_report <key_iters> <by_time> <run files...>: one adtm-bench/v1
+# file that holds, per (binary, name, label) entry, the entry line of the
+# run whose iterations/real_ns is the median — the rate of a tput row, the
+# count of an abort row, the inverse of a per-op or percentile time. With
 # key_iters=1 the iteration count joins the key (crashsim repeats each
-# name and label once per record count). A run that did not emit an entry
-# (an abort cause that did not occur) counts as zero, and an entry whose
-# median is zero is left out, as a single run leaves it out. Entries keep
-# the order in which they first appear.
+# name and label once per record count). With by_time=1 the median is
+# taken over real_ns alone (google-benchmark rows, whose iteration count
+# varies from run to run and is not part of the measurement). A run that
+# did not emit an entry (an abort cause that did not occur) counts as
+# zero, and an entry whose median is zero is left out, as a single run
+# leaves it out. Entries keep the order in which they first appear.
 median_report() {
-  local key_iters="$1"
-  shift
-  awk -F'"' -v runs="$#" -v key_iters="$key_iters" '
+  local key_iters="$1" by_time="$2"
+  shift 2
+  awk -F'"' -v runs="$#" -v key_iters="$key_iters" -v by_time="$by_time" '
     /"binary":/ {
       bin = $4
       if (!(bin in seen)) { seen[bin] = 1; bins[++nbin] = bin }
@@ -106,7 +113,7 @@ median_report() {
       if (key_iters) k = k SUBSEP iters
       if (!(k in count)) order[bin, ++nkey[bin]] = k
       c = ++count[k]
-      rate[k, c] = real > 0 ? iters / real : 0
+      rate[k, c] = real > 0 ? (by_time ? 1 / real : iters / real) : 0
       text[k, c] = line
     }
     END {
@@ -135,14 +142,15 @@ median_report() {
 }
 
 # Committed snapshots: the trajectory the repo publishes (the full OLTP
-# matrix, the health and crashsim micro benches), each row the median of
-# UPDATE_RUNS runs (a single run is one window per row and lands anywhere
-# in the host's spread). Refreshing is deliberate (same machine, quiet
-# load): tools/perf_gate.sh --update.
+# matrix, the health, crashsim and STM micro benches), each row the
+# median of UPDATE_RUNS runs (a single run is one window per row and
+# lands anywhere in the host's spread). Refreshing is deliberate (same
+# machine, quiet load): tools/perf_gate.sh --update.
 UPDATE_RUNS=3
 if [ "$UPDATE" = 1 ]; then
-  echo "perf_gate: regenerating BENCH_oltp.json, BENCH_health.json and" \
-       "BENCH_crashsim.json in $ROOT (median of $UPDATE_RUNS runs)..."
+  echo "perf_gate: regenerating BENCH_oltp.json, BENCH_health.json," \
+       "BENCH_crashsim.json and BENCH_stm.json in $ROOT" \
+       "(median of $UPDATE_RUNS runs)..."
   for i in $(seq "$UPDATE_RUNS"); do
     ADTM_BENCH_OUT="$TMP/oltp.$i.json" ADTM_OLTP_CONTAINER=both \
       "$YCSB" > /dev/null || exit 1
@@ -151,19 +159,23 @@ if [ "$UPDATE" = 1 ]; then
       || exit 1
     (cd "$TMP" && ADTM_BENCH_OUT="$TMP/crashsim.$i.json" "$CRASHSIM" \
       > /dev/null) || exit 1
+    (cd "$TMP" && ADTM_BENCH_OUT="$TMP/stm.$i.json" "$STM" > /dev/null) \
+      || exit 1
     echo "perf_gate: run $i/$UPDATE_RUNS done"
   done
-  median_report 0 "$TMP"/oltp.*.json > "$TMP/oltp.median" || exit 1
-  median_report 0 "$TMP"/health.*.json > "$TMP/health.median" || exit 1
-  median_report 1 "$TMP"/crashsim.*.json > "$TMP/crashsim.median" || exit 1
-  for name in oltp health crashsim; do
+  median_report 0 0 "$TMP"/oltp.*.json > "$TMP/oltp.median" || exit 1
+  median_report 0 0 "$TMP"/health.*.json > "$TMP/health.median" || exit 1
+  median_report 1 0 "$TMP"/crashsim.*.json > "$TMP/crashsim.median" || exit 1
+  median_report 0 1 "$TMP"/stm.*.json > "$TMP/stm.median" || exit 1
+  for name in oltp health crashsim stm; do
     mv "$TMP/$name.median" "$ROOT/BENCH_$name.json" || exit 1
   done
   echo "perf_gate: snapshots refreshed"
   exit 0
 fi
 
-for snap in BENCH_oltp.json BENCH_health.json BENCH_crashsim.json; do
+for snap in BENCH_oltp.json BENCH_health.json BENCH_crashsim.json \
+  BENCH_stm.json; do
   if [ ! -f "$ROOT/$snap" ]; then
     echo "perf_gate: no committed $snap — SKIP"
     exit 77
@@ -173,7 +185,8 @@ done
 # One quick measurement pass into $TMP. Short but same key space as the
 # committed matrix so per-op costs are comparable.
 measure() {
-  rm -f "$TMP/oltp.json" "$TMP/health.json" "$TMP/crashsim.json"
+  rm -f "$TMP/oltp.json" "$TMP/health.json" "$TMP/crashsim.json" \
+    "$TMP/stm.json"
   ADTM_BENCH_OUT="$TMP/oltp.json" ADTM_OLTP_THREADS="${ADTM_OLTP_THREADS:-2}" \
     ADTM_OLTP_DURATION_MS="${ADTM_OLTP_DURATION_MS:-120}" \
     ADTM_OLTP_CONTAINER=both "$YCSB" > /dev/null || return 1
@@ -184,15 +197,18 @@ measure() {
     || return 1
   (cd "$TMP" && ADTM_BENCH_OUT="$TMP/crashsim.json" "$CRASHSIM" > /dev/null) \
     || return 1
+  (cd "$TMP" && ADTM_BENCH_OUT="$TMP/stm.json" "$STM" \
+    --benchmark_min_time=0.05 > /dev/null) || return 1
   return 0
 }
 
 # compare <committed> <fresh> <kind>
 #   kind=tput : name|label keys ending in /tput, fresh ops/ns must be
 #               >= (1-BAND) x committed
-#   kind=time : per-op fresh real_ns must be <= BAND_TIME x committed;
-#               crashsim keys include iterations (the record count) and
-#               only p50 labels are gated (p99 of 15 runs is pure noise)
+#   kind=health, stm, crashsim : per-op fresh real_ns must be
+#               <= BAND_TIME x committed; crashsim keys include iterations
+#               (the record count) and only p50 labels are gated (p99 of
+#               15 runs is pure noise)
 compare() {
   local committed="$1" fresh="$2" kind="$3"
   { parse "$committed" | sed 's/^/C|/'; parse "$fresh" | sed 's/^/F|/'; } |
@@ -242,6 +258,8 @@ run_compare() {
   compare "$ROOT/BENCH_health.json" "$TMP/health.json" health || rc=1
   echo "perf_gate: recovery p50 (band x${BAND_TIME}) vs BENCH_crashsim.json"
   compare "$ROOT/BENCH_crashsim.json" "$TMP/crashsim.json" crashsim || rc=1
+  echo "perf_gate: per-op time (band x${BAND_TIME}) vs BENCH_stm.json"
+  compare "$ROOT/BENCH_stm.json" "$TMP/stm.json" stm || rc=1
   return $rc
 }
 
