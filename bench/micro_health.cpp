@@ -1,15 +1,14 @@
 // Component bench: overload-control hot and cold paths.
 //
 // The overload layer's contract is "invisible until something degrades":
-// a closed breaker on the I/O path and a healthy admission gate at the
-// front door must cost nothing measurable, and the shed path must be
-// cheap precisely when the process can least afford work. Four probes:
+// a healthy admission gate at the front door must cost nothing
+// measurable, and the shed path must be cheap precisely when the process
+// can least afford work. Four probes:
 //
 //   baseline_loop    the measurement loop with no health calls at all
-//   breaker_closed   allow() + record_success() on a closed breaker
 //   gate_healthy     AdmissionGate::enter on a Healthy process
 //   shed_path        AdmissionGate::enter under Critical (throw + catch)
-//   healthz_snapshot monitor().healthz() with registered breakers
+//   healthz_snapshot monitor().healthz()
 //
 // Per-op nanoseconds go to the adtm-bench/v1 run file —
 // BENCH_health.json unless ADTM_BENCH_OUT says otherwise.
@@ -20,7 +19,6 @@
 
 #include "bench/bench_util.hpp"
 #include "common/timing.hpp"
-#include "health/breaker.hpp"
 #include "health/gate.hpp"
 #include "health/health.hpp"
 
@@ -52,29 +50,6 @@ int main() {
     for (std::uint64_t i = 0; i < kIters; ++i) g_sink = g_sink + i;
     baseline = per_op_ns(t.elapsed_s(), kIters);
     report.add("baseline_loop", baseline, kIters);
-  }
-
-  // --- closed-breaker hot path ----------------------------------------
-  // An *enabled* breaker (threshold > 0) that never trips: the per-op
-  // cost over baseline is the number the DESIGN doc claims is <= noise.
-  double closed;
-  {
-    health::BreakerOptions opts;
-    opts.failure_threshold = 4;
-    opts.cooldown_ms = 100;
-    opts.max_cooldown_ms = 1000;
-    opts.name = "bench.closed";
-    opts.report_to_monitor = false;
-    health::CircuitBreaker breaker(std::move(opts));
-    Timer t;
-    for (std::uint64_t i = 0; i < kIters; ++i) {
-      if (breaker.allow()) {
-        breaker.record_success();
-        g_sink = g_sink + i;
-      }
-    }
-    closed = per_op_ns(t.elapsed_s(), kIters);
-    report.add("breaker_closed", closed, kIters);
   }
 
   // --- healthy admission gate ------------------------------------------
@@ -122,13 +97,9 @@ int main() {
   // --- healthz snapshot -------------------------------------------------
   double snapshot;
   {
-    health::BreakerOptions opts;
-    opts.failure_threshold = 4;
-    opts.name = "bench.snap";
-    health::CircuitBreaker b1(opts), b2(opts), b3(opts);
     Timer t;
     for (std::uint64_t i = 0; i < kSlowIters; ++i) {
-      g_sink = g_sink + health::monitor().healthz().breakers.size();
+      g_sink = g_sink + health::monitor().healthz().transitions;
     }
     snapshot = per_op_ns(t.elapsed_s(), kSlowIters);
     report.add("healthz_snapshot", snapshot, kSlowIters);
@@ -136,8 +107,6 @@ int main() {
   health::monitor().reset();
 
   std::printf("%-18s %10.2f ns/op\n", "baseline_loop", baseline);
-  std::printf("%-18s %10.2f ns/op  (closed-breaker overhead %.2f ns)\n",
-              "breaker_closed", closed, closed - baseline);
   std::printf("%-18s %10.2f ns/op\n", "gate_healthy", healthy);
   std::printf("%-18s %10.2f ns/op\n", "shed_path", shed);
   std::printf("%-18s %10.2f ns/op\n", "healthz_snapshot", snapshot);

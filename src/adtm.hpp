@@ -35,7 +35,6 @@
 #include "obs/trace.hpp"
 
 // --- overload control & graceful degradation -------------------------------
-#include "health/breaker.hpp"
 #include "health/gate.hpp"
 #include "health/health.hpp"
 

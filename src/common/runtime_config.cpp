@@ -25,12 +25,6 @@ RuntimeConfig runtime_config_from_env() {
   cfg.trace_out = env_str("ADTM_TRACE_OUT", cfg.trace_out);
   cfg.admission_gate =
       env_u64("ADTM_ADMISSION", cfg.admission_gate ? 1 : 0) != 0;
-  cfg.breaker_threshold = static_cast<std::uint32_t>(
-      env_u64("ADTM_BREAKER_THRESHOLD", cfg.breaker_threshold));
-  cfg.breaker_cooldown_ms =
-      env_u64("ADTM_BREAKER_COOLDOWN_MS", cfg.breaker_cooldown_ms);
-  cfg.breaker_max_cooldown_ms =
-      env_u64("ADTM_BREAKER_MAX_COOLDOWN_MS", cfg.breaker_max_cooldown_ms);
   cfg.queue_cap =
       static_cast<std::size_t>(env_u64("ADTM_QUEUE_CAP", cfg.queue_cap));
   cfg.queue_policy = env_str("ADTM_QUEUE_POLICY", cfg.queue_policy);

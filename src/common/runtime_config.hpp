@@ -68,16 +68,6 @@ struct RuntimeConfig {
   // Admission gate at the kvcache/RecoverableCache front doors: Healthy
   // admits, Degraded serializes, Critical sheds. [ADTM_ADMISSION]
   bool admission_gate = true;
-  // Consecutive failures that trip a circuit breaker (fdpool I/O, WAL
-  // flush, FailurePolicy escalation). 0 disables every breaker — the
-  // default, so retry/escalation semantics are unchanged unless overload
-  // control is armed. [ADTM_BREAKER_THRESHOLD]
-  std::uint32_t breaker_threshold = 0;
-  // Open-state cooldown before the first half-open probe; doubles with
-  // jitter on each failed probe up to the max (common::Backoff idiom).
-  // [ADTM_BREAKER_COOLDOWN_MS] / [ADTM_BREAKER_MAX_COOLDOWN_MS]
-  std::uint64_t breaker_cooldown_ms = 100;
-  std::uint64_t breaker_max_cooldown_ms = 2000;
   // AsyncIOEngine submission-queue capacity; 0 = unbounded (pre-overload
   // behavior). [ADTM_QUEUE_CAP]
   std::size_t queue_cap = 4096;

@@ -33,7 +33,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::QueueBlockWaits: return "queue_block_waits";
     case Counter::AdmissionShed: return "shed";
     case Counter::AdmissionSerialized: return "admission_serialized";
-    case Counter::BreakerTrips: return "breaker_trips";
     case Counter::DegradedMs: return "degraded_ms";
     case Counter::IoCallbackErrors: return "io_callback_errors";
     case Counter::kCount: break;

@@ -44,7 +44,6 @@ enum class Counter : std::uint32_t {
   QueueBlockWaits,      // submits that blocked on a full queue (backpressure)
   AdmissionShed,        // front-door work shed by the admission gate
   AdmissionSerialized,  // front-door work serialized while degraded
-  BreakerTrips,         // circuit breaker closed/half-open -> open transitions
   DegradedMs,           // milliseconds spent non-Healthy (added at recovery)
   IoCallbackErrors,     // async-I/O completion callbacks that threw
   kCount

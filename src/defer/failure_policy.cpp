@@ -8,7 +8,6 @@
 #include "common/backoff.hpp"
 #include "common/stats.hpp"
 #include "faultsim/faultsim.hpp"
-#include "health/breaker.hpp"
 #include "liveness/activity.hpp"
 
 namespace adtm {
@@ -38,53 +37,25 @@ bool default_transient(const std::exception_ptr& ep) noexcept {
 
 void run_with_policy(const FailurePolicy& policy,
                      const std::function<void()>& fn) {
-  health::CircuitBreaker* breaker = policy.breaker;
-  if (breaker != nullptr && !breaker->allow()) {
-    // The resource's breaker is open: escalate up front with a synthetic
-    // EIO instead of poking a known-dying resource through a fresh retry
-    // budget. Escalation (not success) keeps poison_on_escalate and the
-    // owner's poisoned-state semantics identical to a real failure.
-    stats().add(Counter::FailureEscalations);
-    auto ep = std::make_exception_ptr(std::system_error(
-        EIO, std::generic_category(),
-        "circuit breaker '" + breaker->name() + "' open"));
-    if (policy.escalate) {
-      policy.escalate(ep);
-      return;
-    }
-    std::rethrow_exception(ep);
-  }
   Backoff backoff(policy.backoff_min_spins, policy.backoff_max_spins);
   std::uint32_t retries = 0;
   for (;;) {
     std::exception_ptr ep;
     try {
       fn();
-      if (breaker != nullptr) breaker->record_success();
       return;
     } catch (...) {
       ep = std::current_exception();
     }
-    if (breaker != nullptr) breaker->record_failure();
     const bool transient =
         policy.retryable ? policy.retryable(ep) : default_transient(ep);
     // Cooperative reaping (watchdog reap-deferred policy): a deferred op
     // flagged as stalled past its budget stops retrying at its next
     // failure and escalates — composing with poison_on_escalate, which
     // then releases the op's TxLocks by poisoning them.
-    if (transient && liveness::reap_requested()) {
-      liveness::clear_reap();
-      stats().add(Counter::FailureEscalations);
-      if (policy.escalate) {
-        policy.escalate(ep);
-        return;
-      }
-      std::rethrow_exception(ep);
-    }
-    // A breaker tripped open (by our streak or a concurrent op on the
-    // same resource) cuts the retry budget short: escalate now.
-    if (transient && retries < policy.max_retries &&
-        (breaker == nullptr || breaker->allow())) {
+    const bool reaped = transient && liveness::reap_requested();
+    if (reaped) liveness::clear_reap();
+    if (transient && !reaped && retries < policy.max_retries) {
       ++retries;
       stats().add(Counter::FailureRetries);
       backoff.pause();

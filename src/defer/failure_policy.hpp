@@ -15,10 +15,6 @@
 
 namespace adtm {
 
-namespace health {
-class CircuitBreaker;
-}  // namespace health
-
 struct FailurePolicy {
   // Retries allowed after the first failure (0 = fail on first error).
   std::uint32_t max_retries = 8;
@@ -45,14 +41,6 @@ struct FailurePolicy {
   // state the half-run operation may have corrupted. Off by default: most
   // deferred I/O failures leave in-memory state intact.
   bool poison_on_escalate = false;
-
-  // Optional circuit breaker composed with the retry loop (not owned).
-  // Every attempt's verdict feeds the breaker; once it opens — from this
-  // policy's own failures or anyone else's on the same resource —
-  // run_with_policy stops retrying and escalates immediately (a dying
-  // disk poisons fast instead of each op burning a full retry budget),
-  // and new runs escalate up front without touching the resource.
-  health::CircuitBreaker* breaker = nullptr;
 };
 
 // Default transient classification (see FailurePolicy::retryable).

@@ -42,12 +42,6 @@ bool transient_errno(int e) noexcept {
   return e == EINTR || e == EAGAIN || e == ENOSPC;
 }
 
-health::BreakerOptions engine_breaker_options() {
-  health::BreakerOptions opts;  // thresholds from runtime_config
-  opts.name = "fdpool.io";
-  return opts;
-}
-
 }  // namespace
 
 QueuePolicy parse_queue_policy(const std::string& s) noexcept {
@@ -73,11 +67,10 @@ QueueOptions::QueueOptions() {
 }
 
 AsyncIOEngine::AsyncIOEngine(unsigned workers)
-    : AsyncIOEngine(workers, QueueOptions(), engine_breaker_options()) {}
+    : AsyncIOEngine(workers, QueueOptions()) {}
 
-AsyncIOEngine::AsyncIOEngine(unsigned workers, QueueOptions queue,
-                             health::BreakerOptions breaker)
-    : queue_opts_(queue), breaker_(std::move(breaker)) {
+AsyncIOEngine::AsyncIOEngine(unsigned workers, QueueOptions queue)
+    : queue_opts_(queue) {
   if (workers == 0) workers = 1;
   workers_.reserve(workers);
   for (unsigned i = 0; i < workers; ++i) {
@@ -217,65 +210,54 @@ void AsyncIOEngine::worker_loop() {
     const char* p = req.data.data();
     std::size_t remaining = req.data.size();
     std::uint64_t off = req.offset;
-    if (!breaker_.allow()) {
-      // Breaker open: the descriptor is known to be dying — fast-fail
-      // without touching it (no retry burst, no syscall).
-      ec = std::error_code(EIO, std::generic_category());
-    } else {
-      faultsim::crash_point_pwrite(kCpPwrite, req.fd, p, remaining, off);
-      Backoff backoff;
-      unsigned retries = 0;
-      while (remaining > 0) {
-        std::size_t ask = remaining;
-        ssize_t rv;
-        int injected = 0;
-        if (faultsim::active()) {
-          const faultsim::Fault f =
-              faultsim::engine().on_syscall(faultsim::Op::Pwrite, req.fd);
-          if (f.kind == faultsim::FaultKind::Errno) {
-            injected = f.err;
-          } else if (f.kind == faultsim::FaultKind::ShortWrite) {
-            ask = std::max<std::size_t>(std::min(ask, f.max_bytes), 1);
-          } else if (f.kind == faultsim::FaultKind::Crash) {
-            // A crash point in an async worker cannot unwind the submitter;
-            // persist the torn prefix and surface a permanent I/O error.
-            const std::size_t persist = std::min(remaining, f.max_bytes);
-            if (persist > 0) {
-              (void)!::pwrite(req.fd, p, persist, static_cast<off_t>(off));
-            }
-            ec = std::error_code(EIO, std::generic_category());
-            stats().add(Counter::FailureEscalations);
-            break;
+    faultsim::crash_point_pwrite(kCpPwrite, req.fd, p, remaining, off);
+    Backoff backoff;
+    unsigned retries = 0;
+    while (remaining > 0) {
+      std::size_t ask = remaining;
+      ssize_t rv;
+      int injected = 0;
+      if (faultsim::active()) {
+        const faultsim::Fault f =
+            faultsim::engine().on_syscall(faultsim::Op::Pwrite, req.fd);
+        if (f.kind == faultsim::FaultKind::Errno) {
+          injected = f.err;
+        } else if (f.kind == faultsim::FaultKind::ShortWrite) {
+          ask = std::max<std::size_t>(std::min(ask, f.max_bytes), 1);
+        } else if (f.kind == faultsim::FaultKind::Crash) {
+          // A crash point in an async worker cannot unwind the submitter;
+          // persist the torn prefix and surface a permanent I/O error.
+          const std::size_t persist = std::min(remaining, f.max_bytes);
+          if (persist > 0) {
+            (void)!::pwrite(req.fd, p, persist, static_cast<off_t>(off));
           }
-        }
-        if (injected != 0) {
-          errno = injected;
-          rv = -1;
-        } else {
-          rv = ::pwrite(req.fd, p, ask, static_cast<off_t>(off));
-        }
-        if (rv < 0) {
-          if (transient_errno(errno) && retries < kMaxTransientRetries) {
-            ++retries;
-            stats().add(Counter::FailureRetries);
-            backoff.pause();
-            continue;
-          }
-          // Permanent (or retry budget exhausted): report to the callback
-          // rather than dropping the error on the worker thread.
-          ec = std::error_code(errno, std::generic_category());
+          ec = std::error_code(EIO, std::generic_category());
           stats().add(Counter::FailureEscalations);
           break;
         }
-        p += rv;
-        remaining -= static_cast<std::size_t>(rv);
-        off += static_cast<std::uint64_t>(rv);
       }
-      if (ec) {
-        breaker_.record_failure();
+      if (injected != 0) {
+        errno = injected;
+        rv = -1;
       } else {
-        breaker_.record_success();
+        rv = ::pwrite(req.fd, p, ask, static_cast<off_t>(off));
       }
+      if (rv < 0) {
+        if (transient_errno(errno) && retries < kMaxTransientRetries) {
+          ++retries;
+          stats().add(Counter::FailureRetries);
+          backoff.pause();
+          continue;
+        }
+        // Permanent (or retry budget exhausted): report to the callback
+        // rather than dropping the error on the worker thread.
+        ec = std::error_code(errno, std::generic_category());
+        stats().add(Counter::FailureEscalations);
+        break;
+      }
+      p += rv;
+      remaining -= static_cast<std::size_t>(rv);
+      off += static_cast<std::uint64_t>(rv);
     }
 
     obs::emit(obs::EventType::IoComplete, obs::AbortCause::None, obs::kNoAlgo,

@@ -19,9 +19,7 @@
 // configured policy — block until space, shed with EAGAIN, or block up to
 // a deadline then shed — and reports saturation to the health monitor so
 // the admission gate can push back at the front door instead of letting
-// memory grow without bound. A per-engine circuit breaker watches
-// permanent write failures and fast-fails requests while the descriptor
-// is known to be dying (disabled unless ADTM_BREAKER_THRESHOLD > 0).
+// memory grow without bound.
 #pragma once
 
 #include <atomic>
@@ -34,8 +32,6 @@
 #include <system_error>
 #include <thread>
 #include <vector>
-
-#include "health/breaker.hpp"
 
 namespace adtm::fdpool {
 
@@ -68,8 +64,7 @@ class AsyncIOEngine {
   using Completion = std::function<void(std::error_code)>;
 
   explicit AsyncIOEngine(unsigned workers = 1);
-  AsyncIOEngine(unsigned workers, QueueOptions queue,
-                health::BreakerOptions breaker);
+  AsyncIOEngine(unsigned workers, QueueOptions queue);
   ~AsyncIOEngine();
 
   AsyncIOEngine(const AsyncIOEngine&) = delete;
@@ -101,7 +96,6 @@ class AsyncIOEngine {
   std::uint64_t callback_errors() const noexcept {
     return callback_errors_.load(std::memory_order_relaxed);
   }
-  health::CircuitBreaker& breaker() noexcept { return breaker_; }
 
  private:
   struct Request {
@@ -115,7 +109,6 @@ class AsyncIOEngine {
   void run_completion(const Completion& done, std::error_code ec) noexcept;
 
   QueueOptions queue_opts_;
-  health::CircuitBreaker breaker_;
 
   mutable std::mutex mutex_;
   std::condition_variable have_work_;

@@ -18,8 +18,7 @@ const char* health_state_name(HealthState s) noexcept {
 }
 
 bool Monitor::recompute_locked(HealthState* from, HealthState* to) {
-  const int signals = (open_breakers_.empty() ? 0 : 1) +
-                      (saturated_.empty() ? 0 : 1) + (watchdog_stall_ ? 1 : 0);
+  const int signals = (saturated_.empty() ? 0 : 1) + (watchdog_stall_ ? 1 : 0);
   const HealthState next = signals == 0   ? HealthState::Healthy
                            : signals == 1 ? HealthState::Degraded
                                           : HealthState::Critical;
@@ -53,47 +52,6 @@ void Monitor::publish(HealthState from, HealthState to) {
     obs_copy = observer_;
   }
   if (obs_copy) obs_copy(from, to);
-}
-
-void Monitor::register_breaker(CircuitBreaker* b) {
-  HealthState from, to;
-  bool changed;
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    breakers_.insert(b);
-    if (b->state() != BreakerState::Closed) open_breakers_.insert(b);
-    changed = recompute_locked(&from, &to);
-  }
-  if (changed) publish(from, to);
-}
-
-void Monitor::unregister_breaker(CircuitBreaker* b) {
-  HealthState from, to;
-  bool changed;
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    breakers_.erase(b);
-    open_breakers_.erase(b);
-    changed = recompute_locked(&from, &to);
-  }
-  if (changed) publish(from, to);
-}
-
-void Monitor::breaker_transition(CircuitBreaker* b, BreakerState /*from*/,
-                                 BreakerState to) {
-  HealthState hfrom, hto;
-  bool changed;
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    if (breakers_.count(b) == 0) return;  // raced with unregister
-    if (to == BreakerState::Closed) {
-      open_breakers_.erase(b);
-    } else {
-      open_breakers_.insert(b);
-    }
-    changed = recompute_locked(&hfrom, &hto);
-  }
-  if (changed) publish(hfrom, hto);
 }
 
 void Monitor::set_queue_pressure(const void* source, bool saturated) {
@@ -135,7 +93,6 @@ HealthSnapshot Monitor::healthz() const {
   {
     std::lock_guard<std::mutex> lk(mutex_);
     snap.state = state_.load(std::memory_order_relaxed);
-    snap.open_breakers = static_cast<std::uint32_t>(open_breakers_.size());
     snap.saturated_queues = static_cast<std::uint32_t>(saturated_.size());
     snap.watchdog_stall = watchdog_stall_;
     snap.degraded_ms = degraded_ms_.load(std::memory_order_relaxed);
@@ -143,14 +100,9 @@ HealthSnapshot Monitor::healthz() const {
       snap.degraded_ms += (now_ns() - unhealthy_since_ns_) / 1'000'000;
     }
     snap.transitions = transitions_.load(std::memory_order_relaxed);
-    snap.breakers.reserve(breakers_.size());
-    for (const CircuitBreaker* b : breakers_) {
-      snap.breakers.push_back(BreakerInfo{b->name(), b->state(), b->trips()});
-    }
   }
   snap.shed = stats().total(Counter::AdmissionShed);
   snap.serialized = stats().total(Counter::AdmissionSerialized);
-  snap.breaker_trips = stats().total(Counter::BreakerTrips);
   snap.io_callback_errors = io_cb_errors_.load(std::memory_order_relaxed);
   return snap;
 }
@@ -159,23 +111,13 @@ std::string Monitor::healthz_json() const {
   const HealthSnapshot snap = healthz();
   std::ostringstream out;
   out << "{\"state\":\"" << health_state_name(snap.state) << "\""
-      << ",\"open_breakers\":" << snap.open_breakers
       << ",\"saturated_queues\":" << snap.saturated_queues
       << ",\"watchdog_stall\":" << (snap.watchdog_stall ? "true" : "false")
       << ",\"degraded_ms\":" << snap.degraded_ms
       << ",\"transitions\":" << snap.transitions
       << ",\"shed\":" << snap.shed
       << ",\"serialized\":" << snap.serialized
-      << ",\"breaker_trips\":" << snap.breaker_trips
-      << ",\"io_callback_errors\":" << snap.io_callback_errors
-      << ",\"breakers\":[";
-  for (std::size_t i = 0; i < snap.breakers.size(); ++i) {
-    const BreakerInfo& b = snap.breakers[i];
-    if (i != 0) out << ',';
-    out << "{\"name\":\"" << b.name << "\",\"state\":\""
-        << breaker_state_name(b.state) << "\",\"trips\":" << b.trips << '}';
-  }
-  out << "]}";
+      << ",\"io_callback_errors\":" << snap.io_callback_errors << '}';
   return out.str();
 }
 
@@ -191,10 +133,6 @@ void Monitor::reset() {
     std::lock_guard<std::mutex> lk(mutex_);
     saturated_.clear();
     watchdog_stall_ = false;
-    open_breakers_.clear();
-    for (CircuitBreaker* b : breakers_) {
-      if (b->state() != BreakerState::Closed) open_breakers_.insert(b);
-    }
     degraded_ms_.store(0, std::memory_order_relaxed);
     io_cb_errors_.store(0, std::memory_order_relaxed);
     unhealthy_since_ns_ =

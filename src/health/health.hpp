@@ -1,14 +1,13 @@
 // Process-wide health state machine for overload control.
 //
-// The monitor folds three degradation signals into one state:
+// The monitor folds two degradation signals into one state:
 //
-//   - open circuit breakers (any breaker not Closed),
 //   - saturated submission queues (AsyncIOEngine at capacity),
 //   - liveness watchdog stall reports (action "degrade").
 //
 //   0 active signals -> Healthy    (admission gate admits everything)
 //   1 active signal  -> Degraded   (gate serializes front-door work)
-//   2+ active signals -> Critical  (gate sheds front-door work)
+//   2 active signals -> Critical   (gate sheds front-door work)
 //
 // Every transition emits an obs HealthTransition trace event; time spent
 // non-Healthy accumulates into Counter::DegradedMs (credited when the
@@ -26,9 +25,6 @@
 #include <mutex>
 #include <set>
 #include <string>
-#include <vector>
-
-#include "health/breaker.hpp"
 
 namespace adtm::health {
 
@@ -36,24 +32,15 @@ enum class HealthState : std::uint8_t { Healthy, Degraded, Critical };
 
 const char* health_state_name(HealthState s) noexcept;
 
-struct BreakerInfo {
-  std::string name;
-  BreakerState state;
-  std::uint64_t trips;
-};
-
 struct HealthSnapshot {
   HealthState state = HealthState::Healthy;
-  std::uint32_t open_breakers = 0;    // breakers not currently Closed
   std::uint32_t saturated_queues = 0; // queues reporting pressure
   bool watchdog_stall = false;
   std::uint64_t degraded_ms = 0;      // cumulative, incl. current episode
   std::uint64_t transitions = 0;      // health state changes so far
   std::uint64_t shed = 0;             // admission-gate sheds (Counter)
   std::uint64_t serialized = 0;       // admission-gate serializations
-  std::uint64_t breaker_trips = 0;
   std::uint64_t io_callback_errors = 0;
-  std::vector<BreakerInfo> breakers;  // every registered breaker
 };
 
 class Monitor {
@@ -63,13 +50,6 @@ class Monitor {
   }
 
   // --- signal sources ------------------------------------------------
-  // Breakers register on construction (BreakerOptions::report_to_monitor)
-  // and report every state transition.
-  void register_breaker(CircuitBreaker* b);
-  void unregister_breaker(CircuitBreaker* b);
-  void breaker_transition(CircuitBreaker* b, BreakerState from,
-                          BreakerState to);
-
   // Bounded queues report saturation flips, keyed by owner address so
   // independent queues are independent signals.
   void set_queue_pressure(const void* source, bool saturated);
@@ -92,8 +72,7 @@ class Monitor {
   void set_observer(Observer obs);
 
   // Test isolation: drop every signal source and return to Healthy
-  // (publishing the transition if one happens). Registered breakers stay
-  // registered; their current state is re-counted.
+  // (publishing the transition if one happens).
   void reset();
 
  private:
@@ -104,8 +83,6 @@ class Monitor {
 
   mutable std::mutex mutex_;
   std::atomic<HealthState> state_{HealthState::Healthy};
-  std::set<CircuitBreaker*> breakers_;      // all registered
-  std::set<CircuitBreaker*> open_breakers_; // subset not Closed
   std::set<const void*> saturated_;
   bool watchdog_stall_ = false;
   std::uint64_t unhealthy_since_ns_ = 0;
@@ -115,7 +92,7 @@ class Monitor {
   Observer observer_;
 };
 
-// The process-wide monitor fed by fdpool, wal, defer, and liveness.
+// The process-wide monitor fed by fdpool and liveness.
 Monitor& monitor() noexcept;
 
 // Convenience: monitor().healthz_json().

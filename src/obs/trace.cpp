@@ -35,7 +35,6 @@ const char* event_name(EventType t) noexcept {
     case EventType::IoComplete: return "io-complete";
     case EventType::WalFlush: return "wal-flush";
     case EventType::HealthTransition: return "health-transition";
-    case EventType::BreakerTransition: return "breaker-transition";
     case EventType::kCount: break;
   }
   return "?";

@@ -53,7 +53,6 @@ enum class EventType : std::uint8_t {
   IoComplete,     // arg0 = bytes, arg1 = errno (0 = success)
   WalFlush,       // arg0 = records flushed, arg1 = total fsync count
   HealthTransition,   // arg0 = from HealthState, arg1 = to HealthState
-  BreakerTransition,  // arg0 = from BreakerState, arg1 = to BreakerState
   kCount
 };
 

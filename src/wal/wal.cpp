@@ -76,12 +76,6 @@ WriteAheadLog::WriteAheadLog(std::string path) : path_(std::move(path)) {
   next_to_write_ = base + 1;
   const RuntimeConfig& cfg = runtime_config();
   group_window_us_ = cfg.wal_group_window_us;
-  if (cfg.breaker_threshold != 0) {
-    health::BreakerOptions bo;  // thresholds from runtime_config
-    bo.name = "wal:" + path_;
-    breaker_ = std::make_unique<health::CircuitBreaker>(std::move(bo));
-    policy_.breaker = breaker_.get();
-  }
 }
 
 Lsn WriteAheadLog::append(stm::Tx& tx, std::string payload) {
@@ -146,10 +140,6 @@ std::string WriteAheadLog::failure_reason() const {
 void WriteAheadLog::set_failure_policy(FailurePolicy policy) {
   std::lock_guard<std::mutex> lk(flush_mutex_);
   policy_ = std::move(policy);
-  // Keep the per-log breaker composed unless the caller supplied their
-  // own; replacing the retry budget should not silently detach overload
-  // protection.
-  if (policy_.breaker == nullptr) policy_.breaker = breaker_.get();
 }
 
 void WriteAheadLog::poison(const std::string& reason) noexcept {

@@ -36,14 +36,12 @@
 #include <cstdint>
 #include <exception>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "defer/atomic_defer.hpp"
 #include "defer/failure_policy.hpp"
-#include "health/breaker.hpp"
 #include "io/posix_file.hpp"
 #include "stm/tvar.hpp"
 
@@ -103,12 +101,6 @@ class WriteAheadLog {
   // poisons the log (an escaped group-commit failure cannot be isolated
   // to one record).
   void set_failure_policy(FailurePolicy policy);
-
-  // Per-log circuit breaker composed with the group-commit FailurePolicy
-  // (created iff ADTM_BREAKER_THRESHOLD > 0). While open, the next flush
-  // escalates — and poisons — immediately instead of burning a retry
-  // budget against a dying disk. nullptr when breakers are disabled.
-  health::CircuitBreaker* breaker() noexcept { return breaker_.get(); }
 
   // --- adaptive group-commit window ------------------------------------
 
@@ -191,7 +183,6 @@ class WriteAheadLog {
                         .backoff_max_spins = 64 * 1024,
                         .retryable = nullptr,
                         .escalate = nullptr};  // guarded by flush_mutex_
-  std::unique_ptr<health::CircuitBreaker> breaker_;  // set once, in ctor
 
   std::atomic<std::uint64_t> fsyncs_{0};
   std::uint64_t group_window_us_ = 0;

@@ -150,6 +150,22 @@ TEST_F(WalFaultTest, ExhaustedRetryBudgetPoisonsInsteadOfHanging) {
   EXPECT_GE(stats().total(Counter::FailureEscalations), 1u);
 }
 
+TEST_F(WalFaultTest, DefaultPolicyBurnsTheFullRetryBudgetThenPoisons) {
+  // A persistent transient-class fault under the log's default policy:
+  // exactly 8 backed-off retries, then escalation poisons the log.
+  WriteAheadLog log(dir_.file("wal.log"));
+  faultsim::engine().arm({.op = faultsim::Op::Fsync,
+                          .fault = faultsim::Fault::error(ENOSPC),
+                          .count = 0});
+  EXPECT_THROW(log.append("doomed"), std::system_error);
+  EXPECT_EQ(stats().total(Counter::FailureRetries), 8u);
+  EXPECT_GE(stats().total(Counter::FailureEscalations), 1u);
+  EXPECT_TRUE(log.failed());
+  // Poisoned: the next entry fails fast, with no fresh retries.
+  EXPECT_THROW(log.flush(), std::runtime_error);
+  EXPECT_EQ(stats().total(Counter::FailureRetries), 8u);
+}
+
 TEST_F(WalFaultTest, PoisoningWakesBlockedSubscribers) {
   const std::string path = dir_.file("wal.log");
   WriteAheadLog log(path);

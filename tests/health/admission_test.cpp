@@ -1,5 +1,4 @@
-// Admission control: the monitor's signal fold (breakers + queues +
-// watchdog -> Healthy/Degraded/Critical) drives the gate's decision at
+// Admission control: the monitor's signal fold (queues + watchdog -> Healthy/Degraded/Critical) drives the gate's decision at
 // the kvcache front doors — serialize when degraded, shed when critical,
 // and recover cleanly when the signals clear.
 #include "health/gate.hpp"
@@ -11,7 +10,6 @@
 #include <thread>
 
 #include "common/stats.hpp"
-#include "health/breaker.hpp"
 #include "health/health.hpp"
 #include "io/temp_dir.hpp"
 #include "kvcache/recoverable.hpp"
@@ -35,22 +33,11 @@ class AdmissionTest : public ::testing::Test {
     gate().set_enabled(true);
     monitor().reset();
   }
-
-  BreakerOptions reporting(const char* name) {
-    BreakerOptions opts;
-    opts.failure_threshold = 1;
-    opts.cooldown_ms = 60'000;  // stays open for the whole test
-    opts.max_cooldown_ms = 60'000;
-    opts.name = name;
-    opts.report_to_monitor = true;
-    return opts;
-  }
 };
 
 TEST_F(AdmissionTest, OneSignalDegradesAndSerializes) {
-  CircuitBreaker breaker(reporting("admission.one"));
   const std::uint64_t serialized0 = gate().serialized();
-  breaker.record_failure();  // threshold 1: open, reported to the monitor
+  monitor().set_watchdog_stall(true);
   EXPECT_EQ(monitor().state(), HealthState::Degraded);
   EXPECT_EQ(gate().decide(), Admission::Serialize);
 
@@ -63,8 +50,7 @@ TEST_F(AdmissionTest, OneSignalDegradesAndSerializes) {
 }
 
 TEST_F(AdmissionTest, TwoSignalsGoCriticalAndShed) {
-  CircuitBreaker breaker(reporting("admission.two"));
-  breaker.record_failure();
+  monitor().set_watchdog_stall(true);
   int dummy_queue = 0;
   monitor().set_queue_pressure(&dummy_queue, true);
   EXPECT_EQ(monitor().state(), HealthState::Critical);
@@ -87,18 +73,17 @@ TEST_F(AdmissionTest, TwoSignalsGoCriticalAndShed) {
 
   const HealthSnapshot snap = monitor().healthz();
   EXPECT_EQ(snap.state, HealthState::Critical);
-  EXPECT_EQ(snap.open_breakers, 1u);
+  EXPECT_TRUE(snap.watchdog_stall);
   EXPECT_EQ(snap.saturated_queues, 1u);
   EXPECT_GE(snap.shed, 4u);
   EXPECT_NE(monitor().healthz_json().find("\"critical\""), std::string::npos);
 }
 
 TEST_F(AdmissionTest, RecoveryReturnsToHealthyAndCountsDegradedTime) {
-  CircuitBreaker breaker(reporting("admission.recover"));
-  breaker.record_failure();
+  monitor().set_watchdog_stall(true);
   ASSERT_EQ(monitor().state(), HealthState::Degraded);
   std::this_thread::sleep_for(15ms);  // accrue measurable degraded time
-  breaker.reset();  // repaired: the monitor sees the Open -> Closed flip
+  monitor().set_watchdog_stall(false);  // the stall drained
   EXPECT_EQ(monitor().state(), HealthState::Healthy);
   EXPECT_EQ(gate().decide(), Admission::Admit);
 
@@ -112,8 +97,7 @@ TEST_F(AdmissionTest, RecoveryReturnsToHealthyAndCountsDegradedTime) {
 }
 
 TEST_F(AdmissionTest, DisabledGateAdmitsEvenWhenCritical) {
-  CircuitBreaker breaker(reporting("admission.disabled"));
-  breaker.record_failure();
+  monitor().set_watchdog_stall(true);
   int dummy_queue = 0;
   monitor().set_queue_pressure(&dummy_queue, true);
   ASSERT_EQ(monitor().state(), HealthState::Critical);
@@ -131,8 +115,7 @@ TEST_F(AdmissionTest, RecoverableCacheFrontDoorShedsButRecoveryBypasses) {
     rc.set("k", "v", "op-1");
     rc.flush();
   }
-  CircuitBreaker breaker(reporting("admission.rc"));
-  breaker.record_failure();
+  monitor().set_watchdog_stall(true);
   int dummy_queue = 0;
   monitor().set_queue_pressure(&dummy_queue, true);
   ASSERT_EQ(monitor().state(), HealthState::Critical);
@@ -144,14 +127,6 @@ TEST_F(AdmissionTest, RecoverableCacheFrontDoorShedsButRecoveryBypasses) {
   // New front-door mutations are shed.
   EXPECT_THROW(rc.set("k2", "v2", "op-2"), Overloaded);
   EXPECT_THROW(rc.del("k", "op-3"), Overloaded);
-}
-
-TEST_F(AdmissionTest, HealthzJsonNamesRegisteredBreakers) {
-  CircuitBreaker breaker(reporting("admission.json"));
-  const std::string json = monitor().healthz_json();
-  EXPECT_NE(json.find("\"state\":\"healthy\""), std::string::npos) << json;
-  EXPECT_NE(json.find("admission.json"), std::string::npos) << json;
-  EXPECT_NE(healthz().find("\"state\""), std::string::npos);
 }
 
 TEST_F(AdmissionTest, AdmissionNames) {

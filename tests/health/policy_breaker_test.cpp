@@ -1,8 +1,4 @@
-// FailurePolicy x circuit breaker composition on the WAL's group commit:
-// with a breaker armed, a persistent fault stops the retry burst at the
-// breaker threshold and poisons immediately; without one, the full retry
-// budget burns first (the planted-error negative control). Plus the
-// adaptive group-commit gather window.
+// The WAL's adaptive group-commit gather window.
 #include "wal/wal.hpp"
 
 #include <gtest/gtest.h>
@@ -16,8 +12,6 @@
 #include "common/runtime_config.hpp"
 #include "common/stats.hpp"
 #include "faultsim/faultsim.hpp"
-#include "health/breaker.hpp"
-#include "health/health.hpp"
 #include "io/temp_dir.hpp"
 #include "stm/api.hpp"
 
@@ -30,100 +24,17 @@ class PolicyBreakerTest : public ::testing::Test {
     stm::init({.backend = "tl2"});
     faultsim::engine().disarm();
     stats().reset();
-    health::monitor().reset();
     saved_ = runtime_config();
   }
   void TearDown() override {
     faultsim::engine().disarm();
     configure(saved_);
-    health::monitor().reset();
-  }
-
-  void arm_breakers(std::uint32_t threshold) {
-    RuntimeConfig cfg = saved_;
-    cfg.breaker_threshold = threshold;
-    cfg.breaker_cooldown_ms = 60'000;  // no probe during the test
-    cfg.breaker_max_cooldown_ms = 60'000;
-    configure(cfg);
   }
 
   io::TempDir dir_{"adtm-health-pb"};
   std::string log_path() const { return dir_.file("wal.log"); }
   RuntimeConfig saved_;
 };
-
-TEST_F(PolicyBreakerTest, OpenBreakerStopsTheRetryBurstAndPoisons) {
-  arm_breakers(3);
-  WriteAheadLog log(log_path());
-  ASSERT_NE(log.breaker(), nullptr);
-  EXPECT_TRUE(log.breaker()->enabled());
-
-  // Persistent transient-class fault: without a breaker the policy would
-  // burn its whole backoff budget against the dying disk.
-  faultsim::engine().arm({.op = faultsim::Op::Fsync,
-                          .fault = faultsim::Fault::error(ENOSPC),
-                          .count = 0});
-  const std::uint64_t retries0 = stats().total(Counter::FailureRetries);
-  const std::uint64_t esc0 = stats().total(Counter::FailureEscalations);
-  EXPECT_THROW(log.append("doomed"), std::system_error);
-
-  // Threshold 3: two retries (failures 1 and 2), then the third failure
-  // opens the breaker and the next retry check escalates instead.
-  EXPECT_EQ(stats().total(Counter::FailureRetries) - retries0, 2u);
-  EXPECT_GE(stats().total(Counter::FailureEscalations) - esc0, 1u);
-  EXPECT_EQ(log.breaker()->state(), health::BreakerState::Open);
-  EXPECT_GE(log.breaker()->trips(), 1u);
-  EXPECT_TRUE(log.failed());
-  // The open per-log breaker is a monitor signal: process degrades.
-  EXPECT_EQ(health::monitor().state(), health::HealthState::Degraded);
-
-  // Poisoned and open: the next entry fails fast, with no fresh retries.
-  const std::uint64_t retries1 = stats().total(Counter::FailureRetries);
-  EXPECT_THROW(log.flush(), std::runtime_error);
-  EXPECT_EQ(stats().total(Counter::FailureRetries), retries1);
-}
-
-TEST_F(PolicyBreakerTest, NoBreakerBurnsTheFullRetryBudget) {
-  // Negative control: default config (ADTM_BREAKER_THRESHOLD=0) means no
-  // breaker — the same planted fault consumes all 8 default retries.
-  WriteAheadLog log(log_path());
-  EXPECT_EQ(log.breaker(), nullptr);
-  faultsim::engine().arm({.op = faultsim::Op::Fsync,
-                          .fault = faultsim::Fault::error(ENOSPC),
-                          .count = 0});
-  const std::uint64_t retries0 = stats().total(Counter::FailureRetries);
-  EXPECT_THROW(log.append("doomed"), std::system_error);
-  EXPECT_EQ(stats().total(Counter::FailureRetries) - retries0, 8u);
-  EXPECT_TRUE(log.failed());
-  EXPECT_EQ(health::monitor().state(), health::HealthState::Healthy);
-}
-
-TEST_F(PolicyBreakerTest, ReopenAfterFaultsClearRecovers) {
-  arm_breakers(2);
-  {
-    WriteAheadLog log(log_path());
-    log.append("survives");
-    faultsim::engine().arm({.op = faultsim::Op::Fsync,
-                            .fault = faultsim::Fault::error(ENOSPC),
-                            .count = 0});
-    EXPECT_THROW(log.append("doomed"), std::system_error);
-    EXPECT_TRUE(log.failed());
-  }  // the poisoned log's breaker unregisters from the monitor here
-  faultsim::engine().disarm();
-  EXPECT_EQ(health::monitor().state(), health::HealthState::Healthy);
-
-  // The documented recovery path: reopen on the same file. The new log
-  // gets a fresh, closed breaker and full service.
-  WriteAheadLog reopened(log_path());
-  ASSERT_NE(reopened.breaker(), nullptr);
-  EXPECT_EQ(reopened.breaker()->state(), health::BreakerState::Closed);
-  reopened.append("fresh");
-  reopened.flush();
-  EXPECT_FALSE(reopened.failed());
-  const auto r = WriteAheadLog::recover(log_path());
-  ASSERT_GE(r.records.size(), 2u);
-  EXPECT_EQ(r.records.back(), "fresh");
-}
 
 TEST_F(PolicyBreakerTest, GatherWindowCombinesConcurrentAppends) {
   // The adaptive window is timing-dependent; retry with fresh logs until

@@ -67,13 +67,6 @@ class QueueTest : public ::testing::Test {
     q.deadline_ms = deadline_ms;
     return q;
   }
-  health::BreakerOptions quiet_breaker() {
-    health::BreakerOptions b;
-    b.failure_threshold = 0;
-    b.name = "queue-test.io";
-    b.report_to_monitor = false;
-    return b;
-  }
 
   io::TempDir dir_{"adtm-health-q"};
 };
@@ -83,7 +76,7 @@ TEST_F(QueueTest, BlockPolicyBackpressuresTheSubmitter) {
   Plug plug;
   std::atomic<bool> submitted{false};
   {
-    AsyncIOEngine engine(1, bounded(QueuePolicy::Block), quiet_breaker());
+    AsyncIOEngine engine(1, bounded(QueuePolicy::Block));
     ASSERT_TRUE(engine.submit_write(f.fd(), 0, "p", plug.callback()));
     plug.await_plugged();
     for (int i = 0; i < 4; ++i) {
@@ -110,7 +103,7 @@ TEST_F(QueueTest, BlockPolicyBackpressuresTheSubmitter) {
 TEST_F(QueueTest, ShedPolicyFailsFastWithEagain) {
   io::PosixFile f = io::PosixFile::open_rw(dir_.file("b"));
   Plug plug;
-  AsyncIOEngine engine(1, bounded(QueuePolicy::Shed), quiet_breaker());
+  AsyncIOEngine engine(1, bounded(QueuePolicy::Shed));
   ASSERT_TRUE(engine.submit_write(f.fd(), 0, "p", plug.callback()));
   plug.await_plugged();
   for (int i = 0; i < 4; ++i) {
@@ -131,7 +124,7 @@ TEST_F(QueueTest, ShedPolicyFailsFastWithEagain) {
 TEST_F(QueueTest, DeadlinePolicyBlocksThenSheds) {
   io::PosixFile f = io::PosixFile::open_rw(dir_.file("c"));
   Plug plug;
-  AsyncIOEngine engine(1, bounded(QueuePolicy::Deadline, 50), quiet_breaker());
+  AsyncIOEngine engine(1, bounded(QueuePolicy::Deadline, 50));
   ASSERT_TRUE(engine.submit_write(f.fd(), 0, "p", plug.callback()));
   plug.await_plugged();
   for (int i = 0; i < 4; ++i) {
@@ -152,7 +145,7 @@ TEST_F(QueueTest, UnboundedCapZeroNeverSheds) {
   Plug plug;
   QueueOptions q = bounded(QueuePolicy::Shed);
   q.cap = 0;
-  AsyncIOEngine engine(1, q, quiet_breaker());
+  AsyncIOEngine engine(1, q);
   ASSERT_TRUE(engine.submit_write(f.fd(), 0, "p", plug.callback()));
   plug.await_plugged();
   for (int i = 0; i < 64; ++i) {
@@ -167,7 +160,7 @@ TEST_F(QueueTest, UnboundedCapZeroNeverSheds) {
 TEST_F(QueueTest, SaturationSignalsTheMonitorAndClears) {
   io::PosixFile f = io::PosixFile::open_rw(dir_.file("e"));
   Plug plug;
-  AsyncIOEngine engine(1, bounded(QueuePolicy::Shed), quiet_breaker());
+  AsyncIOEngine engine(1, bounded(QueuePolicy::Shed));
   ASSERT_TRUE(engine.submit_write(f.fd(), 0, "p", plug.callback()));
   plug.await_plugged();
   for (int i = 0; i < 4; ++i) {
@@ -190,7 +183,7 @@ TEST_F(QueueTest, SaturationSignalsTheMonitorAndClears) {
 
 TEST_F(QueueTest, ThrowingCompletionCallbackDoesNotKillWorker) {
   io::PosixFile f = io::PosixFile::open_rw(dir_.file("g"));
-  AsyncIOEngine engine(1, bounded(QueuePolicy::Block), quiet_breaker());
+  AsyncIOEngine engine(1, bounded(QueuePolicy::Block));
   engine.submit_write(f.fd(), 0, "boom", [](std::error_code) {
     throw std::runtime_error("completion callback misbehaves");
   });
