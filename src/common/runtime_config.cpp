@@ -25,11 +25,6 @@ RuntimeConfig runtime_config_from_env() {
   cfg.trace_out = env_str("ADTM_TRACE_OUT", cfg.trace_out);
   cfg.admission_gate =
       env_u64("ADTM_ADMISSION", cfg.admission_gate ? 1 : 0) != 0;
-  cfg.queue_cap =
-      static_cast<std::size_t>(env_u64("ADTM_QUEUE_CAP", cfg.queue_cap));
-  cfg.queue_policy = env_str("ADTM_QUEUE_POLICY", cfg.queue_policy);
-  cfg.queue_deadline_ms =
-      env_u64("ADTM_QUEUE_DEADLINE_MS", cfg.queue_deadline_ms);
   cfg.wal_group_window_us =
       env_u64("ADTM_WAL_GROUP_WINDOW_US", cfg.wal_group_window_us);
   cfg.tmsan = env_u64("ADTM_TMSAN", cfg.tmsan ? 1 : 0) != 0;

@@ -68,15 +68,6 @@ struct RuntimeConfig {
   // Admission gate at the kvcache/RecoverableCache front doors: Healthy
   // admits, Degraded serializes, Critical sheds. [ADTM_ADMISSION]
   bool admission_gate = true;
-  // AsyncIOEngine submission-queue capacity; 0 = unbounded (pre-overload
-  // behavior). [ADTM_QUEUE_CAP]
-  std::size_t queue_cap = 4096;
-  // What a submitter does when the queue is full: "block" (wait for
-  // space), "shed" (fail the request with EAGAIN), or "deadline" (block
-  // up to queue_deadline_ms, then shed). [ADTM_QUEUE_POLICY]
-  std::string queue_policy = "block";
-  // Block budget for the "deadline" policy. [ADTM_QUEUE_DEADLINE_MS]
-  std::uint64_t queue_deadline_ms = 100;
   // WAL group-commit gather window cap in microseconds: the flush-lock
   // holder waits up to this long (scaled by backlog depth) for
   // reserved-but-unstaged records to arrive before fsyncing. 0 = off.

@@ -40,7 +40,7 @@ enum class Counter : std::uint32_t {
   LockLeaks,            // cross-transaction lock holds leaked by exiting threads
   LockPoisons,          // TxLock/TxCondVar poison events
   WatchdogActions,      // enforcement actions (poison/reap) the watchdog fired
-  QueueSheds,           // bounded submission-queue rejections (shed/deadline)
+  QueueSheds,           // async-I/O submissions rejected by a stopping engine
   QueueBlockWaits,      // submits that blocked on a full queue (backpressure)
   AdmissionShed,        // front-door work shed by the admission gate
   AdmissionSerialized,  // front-door work serialized while degraded

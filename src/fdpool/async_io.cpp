@@ -4,14 +4,11 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 
 #include "common/backoff.hpp"
-#include "common/runtime_config.hpp"
 #include "common/stats.hpp"
 #include "faultsim/crashpoint.hpp"
 #include "faultsim/faultsim.hpp"
-#include "health/health.hpp"
 #include "obs/trace.hpp"
 
 namespace adtm::fdpool {
@@ -44,33 +41,8 @@ bool transient_errno(int e) noexcept {
 
 }  // namespace
 
-QueuePolicy parse_queue_policy(const std::string& s) noexcept {
-  if (s == "shed") return QueuePolicy::Shed;
-  if (s == "deadline") return QueuePolicy::Deadline;
-  return QueuePolicy::Block;
-}
-
-const char* queue_policy_name(QueuePolicy p) noexcept {
-  switch (p) {
-    case QueuePolicy::Block: return "block";
-    case QueuePolicy::Shed: return "shed";
-    case QueuePolicy::Deadline: return "deadline";
-  }
-  return "unknown";
-}
-
-QueueOptions::QueueOptions() {
-  const RuntimeConfig& cfg = runtime_config();
-  cap = cfg.queue_cap;
-  policy = parse_queue_policy(cfg.queue_policy);
-  deadline_ms = cfg.queue_deadline_ms;
-}
-
-AsyncIOEngine::AsyncIOEngine(unsigned workers)
-    : AsyncIOEngine(workers, QueueOptions()) {}
-
-AsyncIOEngine::AsyncIOEngine(unsigned workers, QueueOptions queue)
-    : queue_opts_(queue) {
+AsyncIOEngine::AsyncIOEngine(unsigned workers, std::size_t capacity)
+    : capacity_(capacity == 0 ? 1 : capacity) {
   if (workers == 0) workers = 1;
   workers_.reserve(workers);
   for (unsigned i = 0; i < workers; ++i) {
@@ -84,14 +56,13 @@ AsyncIOEngine::~AsyncIOEngine() {
     stopping_ = true;
   }
   have_work_.notify_all();
-  have_space_.notify_all();  // blocked submitters give up (shed)
+  have_space_.notify_all();  // blocked submitters give up (EAGAIN)
   for (auto& w : workers_) w.join();
-  health::monitor().forget_queue(this);
 }
 
 // Completion callbacks may run user code; one that throws must not kill
-// the worker thread (or the submitter, on the synchronous shed path) —
-// catch, count, and surface through the health layer instead.
+// the worker thread (or the submitter, on the synchronous rejection
+// path) — catch and count it instead.
 void AsyncIOEngine::run_completion(const Completion& done,
                                    std::error_code ec) noexcept {
   if (!done) return;
@@ -100,52 +71,25 @@ void AsyncIOEngine::run_completion(const Completion& done,
   } catch (...) {
     callback_errors_.fetch_add(1, std::memory_order_relaxed);
     stats().add(Counter::IoCallbackErrors);
-    health::monitor().note_io_callback_error();
   }
 }
 
 bool AsyncIOEngine::submit_write(int fd, std::uint64_t offset,
                                  std::string data, Completion done) {
-  bool shed = false;
-  int pressure_flip = 0;  // +1: report saturated, outside the lock
+  bool rejected;
   {
     std::unique_lock<std::mutex> lk(mutex_);
-    const std::size_t cap = queue_opts_.cap;
-    if (stopping_) {
-      shed = true;
-    } else if (cap != 0 && queue_.size() >= cap) {
-      if (!pressure_reported_) {
-        pressure_reported_ = true;
-        pressure_flip = +1;
-      }
-      switch (queue_opts_.policy) {
-        case QueuePolicy::Block:
-          stats().add(Counter::QueueBlockWaits);
-          have_space_.wait(lk, [this, cap] {
-            return stopping_ || queue_.size() < cap;
-          });
-          shed = stopping_;
-          break;
-        case QueuePolicy::Deadline:
-          stats().add(Counter::QueueBlockWaits);
-          have_space_.wait_for(lk,
-              std::chrono::milliseconds(queue_opts_.deadline_ms),
-              [this, cap] { return stopping_ || queue_.size() < cap; });
-          shed = stopping_ || queue_.size() >= cap;
-          break;
-        case QueuePolicy::Shed:
-          shed = true;
-          break;
-      }
+    if (!stopping_ && queue_.size() >= capacity_) {
+      stats().add(Counter::QueueBlockWaits);
+      have_space_.wait(
+          lk, [this] { return stopping_ || queue_.size() < capacity_; });
     }
-    if (!shed) {
+    rejected = stopping_;
+    if (!rejected) {
       queue_.push_back(Request{fd, offset, std::move(data), std::move(done)});
-      high_water_ = std::max(high_water_, queue_.size());
     }
   }
-  if (pressure_flip > 0) health::monitor().set_queue_pressure(this, true);
-  if (shed) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
+  if (rejected) {
     stats().add(Counter::QueueSheds);
     obs::emit(obs::EventType::IoComplete, obs::AbortCause::None, obs::kNoAlgo,
               0, static_cast<std::uint32_t>(EAGAIN));
@@ -177,15 +121,9 @@ std::size_t AsyncIOEngine::depth() const {
   return queue_.size();
 }
 
-std::size_t AsyncIOEngine::high_water() const noexcept {
-  std::lock_guard<std::mutex> lk(mutex_);
-  return high_water_;
-}
-
 void AsyncIOEngine::worker_loop() {
   for (;;) {
     Request req;
-    int pressure_flip = 0;  // -1: report pressure cleared, outside the lock
     {
       std::unique_lock<std::mutex> lk(mutex_);
       have_work_.wait(lk, [this] { return stopping_ || !queue_.empty(); });
@@ -193,17 +131,8 @@ void AsyncIOEngine::worker_loop() {
       req = std::move(queue_.front());
       queue_.pop_front();
       ++in_flight_;
-      if (queue_opts_.cap != 0) {
-        have_space_.notify_one();
-        // Hysteresis: saturation clears at half capacity, not cap-1, so
-        // one pop does not flap the health signal.
-        if (pressure_reported_ && queue_.size() <= queue_opts_.cap / 2) {
-          pressure_reported_ = false;
-          pressure_flip = -1;
-        }
-      }
     }
-    if (pressure_flip < 0) health::monitor().set_queue_pressure(this, false);
+    have_space_.notify_one();
     faultsim::crash_point(kCpDequeue);
 
     std::error_code ec;

@@ -11,15 +11,14 @@
 // engine cannot throw into its submitter, but it must never silently drop
 // a failed write either. The callback always runs (success or failure) so
 // submitter-side metadata (pending counts) stays consistent. A callback
-// that itself throws is caught and counted (Counter::IoCallbackErrors,
-// health monitor) instead of killing the worker thread.
+// that itself throws is caught and counted (Counter::IoCallbackErrors)
+// instead of killing the worker thread.
 //
-// Overload contract: the submission queue is bounded (ADTM_QUEUE_CAP;
-// 0 restores the old unbounded behavior). A full queue applies the
-// configured policy — block until space, shed with EAGAIN, or block up to
-// a deadline then shed — and reports saturation to the health monitor so
-// the admission gate can push back at the front door instead of letting
-// memory grow without bound.
+// Backpressure: the submission queue is bounded. A submitter that finds
+// it full blocks until a worker dequeues (Counter::QueueBlockWaits), so
+// memory stays bounded and a slow disk slows its producers. Only a
+// submission that races with the engine's destruction is rejected, with
+// EAGAIN (Counter::QueueSheds).
 #pragma once
 
 #include <atomic>
@@ -35,45 +34,29 @@
 
 namespace adtm::fdpool {
 
-// What a submitter does when the bounded queue is full.
-enum class QueuePolicy : std::uint8_t {
-  Block,     // wait for space (backpressure propagates to the submitter)
-  Shed,      // fail the request immediately with EAGAIN
-  Deadline,  // block up to deadline_ms, then shed
-};
-
-// Parses "block" / "shed" / "deadline" (unknown strings -> Block).
-QueuePolicy parse_queue_policy(const std::string& s) noexcept;
-const char* queue_policy_name(QueuePolicy p) noexcept;
-
-struct QueueOptions {
-  std::size_t cap;            // 0 = unbounded
-  QueuePolicy policy;
-  std::uint64_t deadline_ms;  // Deadline policy's block budget
-
-  // Defaults resolve from adtm::runtime_config() (ADTM_QUEUE_*).
-  QueueOptions();
-};
-
 class AsyncIOEngine {
  public:
   // Completion callback: invoked on a worker thread with a default
   // (falsy) error_code on success, or the failing errno. May start
-  // transactions. A shed request's callback runs synchronously on the
-  // submitting thread with EAGAIN.
+  // transactions. A rejected request's callback runs synchronously on
+  // the submitting thread with EAGAIN.
   using Completion = std::function<void(std::error_code)>;
 
-  explicit AsyncIOEngine(unsigned workers = 1);
-  AsyncIOEngine(unsigned workers, QueueOptions queue);
+  static constexpr std::size_t kDefaultCapacity = 4096;
+
+  // `capacity` bounds the submission queue (at least 1): a submitter
+  // that finds it full blocks until a worker makes room.
+  explicit AsyncIOEngine(unsigned workers = 1,
+                         std::size_t capacity = kDefaultCapacity);
   ~AsyncIOEngine();
 
   AsyncIOEngine(const AsyncIOEngine&) = delete;
   AsyncIOEngine& operator=(const AsyncIOEngine&) = delete;
 
   // Queue a positional write of `data` to `fd` at `offset`. `done` (if
-  // any) runs after the write completes or fails. Returns false when the
-  // request was shed (full queue under shed/deadline policy, or the
-  // engine is stopping) — the callback has then already run with EAGAIN.
+  // any) runs after the write completes or fails. Blocks while the queue
+  // is full. Returns false when the request was rejected because the
+  // engine is stopping — the callback has then already run with EAGAIN.
   bool submit_write(int fd, std::uint64_t offset, std::string data,
                     Completion done = {});
 
@@ -85,13 +68,7 @@ class AsyncIOEngine {
   // Requests whose write failed permanently (errno delivered to `done`).
   std::uint64_t failed() const noexcept;
 
-  // --- overload-control observability --------------------------------
   std::size_t depth() const;  // current queue depth
-  std::size_t capacity() const noexcept { return queue_opts_.cap; }
-  std::size_t high_water() const noexcept;  // deepest the queue ever got
-  std::uint64_t shed() const noexcept {
-    return shed_.load(std::memory_order_relaxed);
-  }
   // Completion callbacks that threw (caught; worker survived).
   std::uint64_t callback_errors() const noexcept {
     return callback_errors_.load(std::memory_order_relaxed);
@@ -108,7 +85,7 @@ class AsyncIOEngine {
   void worker_loop();
   void run_completion(const Completion& done, std::error_code ec) noexcept;
 
-  QueueOptions queue_opts_;
+  const std::size_t capacity_;
 
   mutable std::mutex mutex_;
   std::condition_variable have_work_;
@@ -119,9 +96,6 @@ class AsyncIOEngine {
   bool stopping_ = false;
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
-  std::size_t high_water_ = 0;
-  bool pressure_reported_ = false;
-  std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> callback_errors_{0};
   std::vector<std::thread> workers_;
 };

@@ -6,14 +6,22 @@
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <stdexcept>
 #include <system_error>
+#include <thread>
 
+#include "common/stats.hpp"
 #include "faultsim/faultsim.hpp"
 #include "io/posix_file.hpp"
 #include "io/temp_dir.hpp"
 
 namespace adtm::fdpool {
 namespace {
+
+using namespace std::chrono_literals;
 
 class AsyncIOTest : public ::testing::Test {
  protected:
@@ -148,6 +156,92 @@ TEST_F(AsyncIOTest, ExhaustedRetriesEscalateToCallback) {
   engine.drain();
   EXPECT_EQ(seen.value(), ENOSPC);
   EXPECT_EQ(engine.failed(), 1u);
+}
+
+// A completion callback that parks its worker until release(): with one
+// worker and the plug in flight, every further submission stays queued,
+// so the test controls the queue depth exactly.
+struct Plug {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool released = false;
+  std::atomic<bool> plugged{false};
+
+  AsyncIOEngine::Completion callback() {
+    return [this](std::error_code) {
+      plugged.store(true);
+      std::unique_lock<std::mutex> lk(mu);
+      cv.wait(lk, [this] { return released; });
+    };
+  }
+  void await_plugged() {
+    while (!plugged.load()) std::this_thread::yield();
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      released = true;
+    }
+    cv.notify_all();
+  }
+};
+
+// The bounded submission queue: a full queue parks the submitter, and a
+// throwing completion callback does not kill its worker.
+class QueueTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kCapacity = 4;
+
+  void SetUp() override { stats().reset(); }
+
+  io::TempDir dir_{"adtm-aio-q"};
+};
+
+TEST_F(QueueTest, BlockPolicyBackpressuresTheSubmitter) {
+  io::PosixFile f = io::PosixFile::open_rw(dir_.file("a"));
+  Plug plug;
+  std::atomic<bool> submitted{false};
+  {
+    AsyncIOEngine engine(1, kCapacity);
+    ASSERT_TRUE(engine.submit_write(f.fd(), 0, "p", plug.callback()));
+    plug.await_plugged();
+    for (std::size_t i = 0; i < kCapacity; ++i) {
+      ASSERT_TRUE(engine.submit_write(f.fd(), 0, "fill"));
+    }
+    EXPECT_EQ(engine.depth(), kCapacity);
+
+    std::thread blocked([&] {
+      EXPECT_TRUE(engine.submit_write(f.fd(), 0, "blocked"));
+      submitted.store(true);
+    });
+    std::this_thread::sleep_for(30ms);
+    EXPECT_FALSE(submitted.load());  // full queue: submitter is parked
+    plug.release();
+    blocked.join();
+    EXPECT_TRUE(submitted.load());
+    engine.drain();
+    EXPECT_EQ(engine.completed(), kCapacity + 2);
+  }
+  EXPECT_GE(stats().total(Counter::QueueBlockWaits), 1u);
+  EXPECT_EQ(stats().total(Counter::QueueSheds), 0u);
+}
+
+TEST_F(QueueTest, ThrowingCompletionCallbackDoesNotKillWorker) {
+  io::PosixFile f = io::PosixFile::open_rw(dir_.file("g"));
+  AsyncIOEngine engine(1, kCapacity);
+  engine.submit_write(f.fd(), 0, "boom", [](std::error_code) {
+    throw std::runtime_error("completion callback misbehaves");
+  });
+  engine.drain();
+  EXPECT_EQ(engine.callback_errors(), 1u);
+  EXPECT_GE(stats().total(Counter::IoCallbackErrors), 1u);
+  // The worker survived: it still services new submissions.
+  std::atomic<bool> ran{false};
+  engine.submit_write(f.fd(), 4, "next",
+                      [&](std::error_code ec) { ran.store(!ec); });
+  engine.drain();
+  EXPECT_TRUE(ran.load());
+  EXPECT_EQ(engine.completed(), 2u);
 }
 
 }  // namespace
