@@ -68,11 +68,6 @@ struct RuntimeConfig {
   // Admission gate at the kvcache/RecoverableCache front doors: Healthy
   // admits, Degraded serializes, Critical sheds. [ADTM_ADMISSION]
   bool admission_gate = true;
-  // WAL group-commit gather window cap in microseconds: the flush-lock
-  // holder waits up to this long (scaled by backlog depth) for
-  // reserved-but-unstaged records to arrive before fsyncing. 0 = off.
-  // [ADTM_WAL_GROUP_WINDOW_US]
-  std::uint64_t wal_group_window_us = 0;
 
   // --- TM-aware sanitizer (tmsan) ------------------------------------
   // Mixed-mode race and deferral-contract checking; when set via the

@@ -2,16 +2,12 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <system_error>
-#include <thread>
 #include <utility>
 
 #include "common/backoff.hpp"
-#include "common/runtime_config.hpp"
-#include "common/timing.hpp"
 #include "faultsim/crashpoint.hpp"
 #include "obs/trace.hpp"
 #include "stm/api.hpp"
@@ -74,8 +70,6 @@ WriteAheadLog::WriteAheadLog(std::string path) : path_(std::move(path)) {
   next_lsn_.store_direct(base + 1);
   durable_lsn_.store_direct(base);
   next_to_write_ = base + 1;
-  const RuntimeConfig& cfg = runtime_config();
-  group_window_us_ = cfg.wal_group_window_us;
 }
 
 Lsn WriteAheadLog::append(stm::Tx& tx, std::string payload) {
@@ -199,39 +193,7 @@ void WriteAheadLog::stage_and_flush(Lsn lsn, std::string payload) {
   }
 }
 
-void WriteAheadLog::gather_window_locked() {
-  if (group_window_us_ == 0) return;
-  // Reserved-but-unstaged records are LSNs already handed out whose
-  // deferred stage has not arrived yet (their committers are between
-  // commit and epilogue). Waiting a beat folds them into this fsync
-  // instead of the next one. The wait scales with backlog depth — an
-  // idle log never waits, a convoying one amortizes harder — and is
-  // capped by the window knob either way. next_lsn_'s direct load may
-  // see a speculative reservation under in-place algorithms; for a
-  // gather heuristic an over-estimate only means waiting out the cap.
-  const Lsn durable = durable_lsn_.load_direct();
-  const Lsn reserved = next_lsn_.load_direct() - 1;
-  if (reserved <= durable) return;
-  const std::uint64_t backlog = reserved - durable;
-  constexpr std::uint64_t kPerRecordUs = 2;
-  const std::uint64_t window_ns =
-      std::min(group_window_us_, backlog * kPerRecordUs) * 1000;
-  const std::uint64_t deadline = now_ns() + window_ns;
-  window_gathers_.fetch_add(1, std::memory_order_relaxed);
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lk(staging_mutex_);
-      // Every outstanding record is staged: flush now, nothing to gain.
-      if (next_to_write_ + staged_.size() > reserved) return;
-    }
-    if (failed_.load_direct()) return;
-    if (now_ns() >= deadline) return;
-    std::this_thread::yield();
-  }
-}
-
 void WriteAheadLog::stage_and_flush_locked_drain() {
-  gather_window_locked();
   for (;;) {
     if (failed_.load_direct()) return;  // poisoned: callers raise
     // Collect the contiguous LSN prefix. A gap means an earlier

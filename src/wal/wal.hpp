@@ -102,22 +102,6 @@ class WriteAheadLog {
   // to one record).
   void set_failure_policy(FailurePolicy policy);
 
-  // --- adaptive group-commit window ------------------------------------
-
-  // Gather window cap in microseconds (ADTM_WAL_GROUP_WINDOW_US; 0 =
-  // flush immediately, the default). When reserved-but-unstaged records
-  // exist, the flush-lock holder waits up to min(cap, backlog-scaled)
-  // for them to stage so one fsync covers more records under load.
-  void set_group_window_us(std::uint64_t us) noexcept {
-    group_window_us_ = us;
-  }
-  std::uint64_t group_window_us() const noexcept { return group_window_us_; }
-
-  // Drains that entered the gather window (batch-adaptivity metric).
-  std::uint64_t window_gathers() const noexcept {
-    return window_gathers_.load(std::memory_order_relaxed);
-  }
-
   // --- recovery --------------------------------------------------------
 
   struct RecoveryResult {
@@ -152,10 +136,6 @@ class WriteAheadLog {
   // Caller must hold flush_mutex_.
   void stage_and_flush_locked_drain();
 
-  // Wait (bounded by the gather window, scaled to backlog depth) for
-  // reserved-but-unstaged records to stage. Caller must hold flush_mutex_.
-  void gather_window_locked();
-
   // Enter the terminal failure state and wake retry-blocked subscribers.
   void poison(const std::string& reason) noexcept;
 
@@ -185,8 +165,6 @@ class WriteAheadLog {
                         .escalate = nullptr};  // guarded by flush_mutex_
 
   std::atomic<std::uint64_t> fsyncs_{0};
-  std::uint64_t group_window_us_ = 0;
-  std::atomic<std::uint64_t> window_gathers_{0};
 };
 
 }  // namespace adtm::wal
