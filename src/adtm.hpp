@@ -34,10 +34,6 @@
 // --- observability ---------------------------------------------------------
 #include "obs/trace.hpp"
 
-// --- overload control & graceful degradation -------------------------------
-#include "health/gate.hpp"
-#include "health/health.hpp"
-
 // --- transactional memory --------------------------------------------------
 #include "stm/api.hpp"
 #include "stm/backend.hpp"

@@ -23,8 +23,6 @@ RuntimeConfig runtime_config_from_env() {
   cfg.trace_max_events = static_cast<std::size_t>(
       env_u64("ADTM_TRACE_MAX_EVENTS", cfg.trace_max_events));
   cfg.trace_out = env_str("ADTM_TRACE_OUT", cfg.trace_out);
-  cfg.admission_gate =
-      env_u64("ADTM_ADMISSION", cfg.admission_gate ? 1 : 0) != 0;
   cfg.tmsan = env_u64("ADTM_TMSAN", cfg.tmsan ? 1 : 0) != 0;
   cfg.tmsan_opacity =
       env_u64("ADTM_TMSAN_OPACITY", cfg.tmsan_opacity ? 1 : 0) != 0;

@@ -64,11 +64,6 @@ struct RuntimeConfig {
   // [ADTM_TRACE_OUT]
   std::string trace_out = "adtm_trace.json";
 
-  // --- overload control (health) -------------------------------------
-  // Admission gate at the kvcache/RecoverableCache front doors: Healthy
-  // admits, Degraded serializes, Critical sheds. [ADTM_ADMISSION]
-  bool admission_gate = true;
-
   // --- TM-aware sanitizer (tmsan) ------------------------------------
   // Mixed-mode race and deferral-contract checking; when set via the
   // environment the checkers start at the first stm::init. [ADTM_TMSAN]

@@ -31,9 +31,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::WatchdogActions: return "watchdog_actions";
     case Counter::QueueSheds: return "queue_sheds";
     case Counter::QueueBlockWaits: return "queue_block_waits";
-    case Counter::AdmissionShed: return "shed";
-    case Counter::AdmissionSerialized: return "admission_serialized";
-    case Counter::DegradedMs: return "degraded_ms";
     case Counter::IoCallbackErrors: return "io_callback_errors";
     case Counter::kCount: break;
   }

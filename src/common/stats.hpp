@@ -42,9 +42,6 @@ enum class Counter : std::uint32_t {
   WatchdogActions,      // enforcement actions (poison/reap) the watchdog fired
   QueueSheds,           // async-I/O submissions rejected by a stopping engine
   QueueBlockWaits,      // submits that blocked on a full queue (backpressure)
-  AdmissionShed,        // front-door work shed by the admission gate
-  AdmissionSerialized,  // front-door work serialized while degraded
-  DegradedMs,           // milliseconds spent non-Healthy (added at recovery)
   IoCallbackErrors,     // async-I/O completion callbacks that threw
   kCount
 };

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "health/gate.hpp"
 #include "stm/api.hpp"
 
 namespace adtm::kvcache {
@@ -80,9 +79,7 @@ RecoverableCache::RecoverableCache(std::size_t capacity,
       wal_(wal_path),
       cache_(capacity) {
   // Rebuild the cache from the valid prefix. Replaying the folded map
-  // (rather than op-by-op) keeps recovery O(keys) transactions. Replay
-  // uses the transactional entry point: recovery is internal work, not
-  // new front-door load, so it must not be shed by the admission gate.
+  // (rather than op-by-op) keeps recovery O(keys) transactions.
   for (const auto& [key, value] : replay(recovery_.records)) {
     stm::atomic([&](stm::Tx& tx) { cache_.set(tx, key, value); });
   }
@@ -99,9 +96,6 @@ wal::Lsn RecoverableCache::apply(stm::Tx& tx, const Op& op) {
 
 wal::Lsn RecoverableCache::set(const std::string& key, const std::string& value,
                                const std::string& op_id) {
-  // Front door: admission first (shed/serialize under overload), TM and
-  // WAL work only once admitted.
-  const auto guard = health::gate().enter("recoverable.set");
   return stm::atomic([&](stm::Tx& tx) {
     return apply(tx, Op{op_id, 'S', key, value});
   });
@@ -109,7 +103,6 @@ wal::Lsn RecoverableCache::set(const std::string& key, const std::string& value,
 
 wal::Lsn RecoverableCache::del(const std::string& key,
                                const std::string& op_id) {
-  const auto guard = health::gate().enter("recoverable.del");
   return stm::atomic([&](stm::Tx& tx) {
     return apply(tx, Op{op_id, 'D', key, std::string()});
   });

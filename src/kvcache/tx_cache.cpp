@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <functional>
 
-#include "health/gate.hpp"
 #include "txlog/txlog.hpp"
 
 namespace adtm::kvcache {
@@ -135,12 +134,6 @@ void TxCache::set(stm::Tx& tx, const std::string& key,
 }
 
 void TxCache::set(const std::string& key, const std::string& value) {
-  // Front door: new work enters here, so the admission gate decides
-  // first — Healthy admits for free, Degraded serializes, Critical
-  // throws health::Overloaded before any TM work. The transactional
-  // overloads above stay gate-free: nested composition must not consult
-  // admission twice.
-  const auto guard = health::gate().enter("kvcache.set");
   stm::atomic([&](stm::Tx& tx) { set(tx, key, value); });
 }
 
@@ -160,7 +153,6 @@ std::optional<std::string> TxCache::get(stm::Tx& tx, const std::string& key) {
 }
 
 std::optional<std::string> TxCache::get(const std::string& key) {
-  const auto guard = health::gate().enter("kvcache.get");
   return stm::atomic([&](stm::Tx& tx) { return get(tx, key); });
 }
 
@@ -172,7 +164,6 @@ bool TxCache::del(stm::Tx& tx, const std::string& key) {
 }
 
 bool TxCache::del(const std::string& key) {
-  const auto guard = health::gate().enter("kvcache.del");
   return stm::atomic([&](stm::Tx& tx) { return del(tx, key); });
 }
 
@@ -193,7 +184,6 @@ std::optional<long> TxCache::incr(stm::Tx& tx, const std::string& key,
 }
 
 std::optional<long> TxCache::incr(const std::string& key, long delta) {
-  const auto guard = health::gate().enter("kvcache.incr");
   return stm::atomic([&](stm::Tx& tx) { return incr(tx, key, delta); });
 }
 

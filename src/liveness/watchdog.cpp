@@ -13,7 +13,6 @@
 #include "common/stats.hpp"
 #include "common/thread_id.hpp"
 #include "common/timing.hpp"
-#include "health/health.hpp"
 #include "liveness/activity.hpp"
 #include "liveness/contention.hpp"
 #include "liveness/wait_graph.hpp"
@@ -27,7 +26,6 @@ const char* watchdog_action_name(WatchdogAction a) noexcept {
     case WatchdogAction::PoisonOrphans: return "poison-orphans";
     case WatchdogAction::ReapDeferred: return "reap-deferred";
     case WatchdogAction::Enforce: return "enforce";
-    case WatchdogAction::Degrade: return "degrade";
   }
   return "?";
 }
@@ -36,7 +34,6 @@ WatchdogAction parse_watchdog_action(const std::string& s) noexcept {
   if (s == "poison-orphans") return WatchdogAction::PoisonOrphans;
   if (s == "reap-deferred") return WatchdogAction::ReapDeferred;
   if (s == "enforce") return WatchdogAction::Enforce;
-  if (s == "degrade") return WatchdogAction::Degrade;
   return WatchdogAction::Report;
 }
 
@@ -68,7 +65,6 @@ struct Watchdog::Impl {
   std::mutex scan_mutex;
   std::unordered_set<const void*> poisoned_entities;
   std::unordered_map<std::uint32_t, std::uint64_t> reaped_ops;
-  bool degrade_signal = false;  // monitor's watchdog-stall signal raised
 
   void fire(const WatchdogOptions& o, const WatchdogEvent& ev,
             std::ostringstream& out) {
@@ -77,14 +73,10 @@ struct Watchdog::Impl {
       out << "watchdog action: poisoned orphaned entity " << ev.entity
           << " (responsible thread dead; waiter thread " << ev.tid
           << " parked " << ev.stalled_ns / 1000000 << " ms)\n";
-    } else if (ev.kind == WatchdogEvent::Kind::DeferredReaped) {
+    } else {
       out << "watchdog action: reap requested for thread " << ev.tid
           << " (deferred op running " << ev.stalled_ns / 1000000
           << " ms)\n";
-    } else {
-      out << "watchdog action: health degraded (thread " << ev.tid
-          << " stalled " << ev.stalled_ns / 1000000
-          << " ms; admission gate notified)\n";
     }
     if (o.on_action) o.on_action(ev);
   }
@@ -150,8 +142,6 @@ struct Watchdog::Impl {
     const std::uint64_t now = now_ns();
     std::ostringstream out;
     bool stalled = false;
-    std::uint32_t first_stalled_tid = 0;
-    std::uint64_t first_stalled_ns = 0;
     for (std::uint32_t tid = 0; tid < thread_high_water(); ++tid) {
       const ThreadState state = state_of(tid);
       if (state == ThreadState::Idle || state == ThreadState::InTx) continue;
@@ -160,8 +150,6 @@ struct Watchdog::Impl {
       if (!thread_slot_live(tid)) continue;  // exited mid-park; stale slot
       if (!stalled) {
         stalled = true;
-        first_stalled_tid = tid;
-        first_stalled_ns = now - since;
         out << "adtm watchdog: stalled threads (budget "
             << o.stall_budget_ns / 1000000 << " ms):\n";
       }
@@ -171,28 +159,6 @@ struct Watchdog::Impl {
       out << " (consecutive aborts " << cm.consecutive_aborts(tid)
           << ", total aborts " << cm.total_aborts(tid) << ", escalations "
           << cm.escalations(tid) << ")\n";
-    }
-    // Degrade enforcement: flip the health monitor's stall signal on
-    // episode boundaries — raised when a scan finds over-budget threads,
-    // cleared on the first clean scan afterwards — so the admission gate
-    // backs new work off while the process is wedged and recovers
-    // automatically once the stall drains.
-    if (o.action == WatchdogAction::Degrade) {
-      bool flip = false;
-      {
-        std::lock_guard<std::mutex> lk(scan_mutex);
-        flip = stalled != degrade_signal;
-        if (flip) degrade_signal = stalled;
-      }
-      if (flip) {
-        health::monitor().set_watchdog_stall(stalled);
-        if (stalled) {
-          fire(o,
-               WatchdogEvent{WatchdogEvent::Kind::HealthDegraded, nullptr,
-                             first_stalled_tid, first_stalled_ns},
-               out);
-        }
-      }
     }
     const std::string actions = enforce(o, now);
     if (!stalled && actions.empty()) return "";

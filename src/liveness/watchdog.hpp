@@ -22,12 +22,11 @@
 //    of retrying forever (composing with poison_on_escalate).
 //  * enforce — both. Every action fires exactly once per stalled entity
 //    (per stall episode) and is counted in Counter::WatchdogActions.
-//  * degrade — overload control instead of repair: while any thread is
-//    stalled past budget, the watchdog raises the process-wide health
-//    monitor's stall signal (health::monitor().set_watchdog_stall), so
-//    the admission gate serializes or sheds new front-door work; the
-//    signal clears on the first clean scan. Fires a HealthDegraded event
-//    once per stall episode.
+//
+// Each background pass that produces a report (a stall or an action)
+// goes to the sink and bumps stall_reports() and Counter::WatchdogStalls.
+// That is how a stall surfaces: the watchdog never sheds or delays new
+// work.
 #pragma once
 
 #include <cstdint>
@@ -41,14 +40,12 @@ enum class WatchdogAction : std::uint8_t {
   PoisonOrphans,  // + poison entities whose responsible thread is dead
   ReapDeferred,   // + flag over-budget deferred ops for escalation
   Enforce,        // PoisonOrphans and ReapDeferred together
-  Degrade,        // + flip the health monitor's watchdog-stall signal
 };
 
 const char* watchdog_action_name(WatchdogAction a) noexcept;
 
 // Parse an ADTM_WATCHDOG_ACTION value ("report", "poison-orphans",
-// "reap-deferred", "enforce", "degrade"); unknown strings fall back to
-// Report.
+// "reap-deferred", "enforce"); unknown strings fall back to Report.
 WatchdogAction parse_watchdog_action(const std::string& s) noexcept;
 
 // One enforcement action, delivered to WatchdogOptions::on_action.
@@ -56,7 +53,6 @@ struct WatchdogEvent {
   enum class Kind : std::uint8_t {
     OrphanPoisoned,
     DeferredReaped,
-    HealthDegraded,  // stall episode began; monitor signal raised
   };
   Kind kind;
   const void* entity;       // poisoned entity; nullptr for a reap

@@ -34,7 +34,6 @@ const char* event_name(EventType t) noexcept {
     case EventType::LockWake: return "lock-wait";
     case EventType::IoComplete: return "io-complete";
     case EventType::WalFlush: return "wal-flush";
-    case EventType::HealthTransition: return "health-transition";
     case EventType::kCount: break;
   }
   return "?";

@@ -52,7 +52,6 @@ enum class EventType : std::uint8_t {
   LockWake,       // arg0 = wait duration ns; park on a TxLock ended
   IoComplete,     // arg0 = bytes, arg1 = errno (0 = success)
   WalFlush,       // arg0 = records flushed, arg1 = total fsync count
-  HealthTransition,   // arg0 = from HealthState, arg1 = to HealthState
   kCount
 };
 

@@ -80,14 +80,11 @@ cmake --build --preset tsan -j "$JOBS"
 stage "tsan: core STM suites (every backend)"
 ctest --preset tsan-stm -j "$JOBS"
 
-stage "tsan: liveness + fault suites"
+stage "tsan: liveness + fault suites (incl. the async-I/O queue)"
 ctest --preset tsan-concurrency -j "$JOBS"
 
 stage "tsan: tmsan suite under annotated TSan"
 ctest --preset tsan-sanitize -j "$JOBS"
-
-stage "tsan: overload-control stress suite (health)"
-ctest --preset overload -j "$JOBS"
 
 stage "tsan: obs suite (per-thread summary, per-lock stats)"
 ctest --preset tsan-obs -j "$JOBS"

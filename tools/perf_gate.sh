@@ -5,7 +5,6 @@
 # committed snapshots in the repo root:
 #
 #   BENCH_oltp.json      oltp_ycsb + oltp_warehouse  (throughput ratio)
-#   BENCH_health.json    micro_health                (per-op time ratio)
 #   BENCH_crashsim.json  micro_crashsim              (p50 time ratio)
 #   BENCH_stm.json       micro_stm_ops               (per-op time ratio)
 #
@@ -15,8 +14,7 @@
 # outside it (ADTM_OLTP_SPIN_NS, spun inside every transaction attempt,
 # fails every tput row in both passes at the value DESIGN.md gives).
 # Time entries fail when fresh exceeds ADTM_PERF_BAND_TIME x committed
-# (default 4.0 — recovery and shed-path timings are noisy at micro
-# scale). The quick pass runs micro_stm_ops with a short minimum time;
+# (default 4.0 — recovery timings are noisy at micro scale). The quick pass runs micro_stm_ops with a short minimum time;
 # its rows are per-iteration times, comparable with the committed ones.
 # Only names present in BOTH the committed snapshot and the fresh quick
 # run are compared; the committed file may hold more (full-matrix)
@@ -33,7 +31,7 @@
 #
 # Usage:
 #   tools/perf_gate.sh [build-dir]       # run the gate (default ./build)
-#   tools/perf_gate.sh --update [dir]    # refresh all four snapshots with
+#   tools/perf_gate.sh --update [dir]    # refresh all three snapshots with
 #                                        # the per-row median of 3 runs
 #                                        # (full OLTP matrix), then exit
 set -u
@@ -58,11 +56,10 @@ esac
 
 YCSB="$BUILD/bench/oltp_ycsb"
 WH="$BUILD/bench/oltp_warehouse"
-HEALTH="$BUILD/bench/micro_health"
 CRASHSIM="$BUILD/bench/micro_crashsim"
 STM="$BUILD/bench/micro_stm_ops"
 
-for bin in "$YCSB" "$WH" "$HEALTH" "$CRASHSIM" "$STM"; do
+for bin in "$YCSB" "$WH" "$CRASHSIM" "$STM"; do
   if [ ! -x "$bin" ]; then
     echo "perf_gate: missing bench binary $bin (build first) — SKIP"
     exit 77
@@ -142,21 +139,19 @@ median_report() {
 }
 
 # Committed snapshots: the trajectory the repo publishes (the full OLTP
-# matrix, the health, crashsim and STM micro benches), each row the
+# matrix, the crashsim and STM micro benches), each row the
 # median of UPDATE_RUNS runs (a single run is one window per row and
 # lands anywhere in the host's spread). Refreshing is deliberate (same
 # machine, quiet load): tools/perf_gate.sh --update.
 UPDATE_RUNS=3
 if [ "$UPDATE" = 1 ]; then
-  echo "perf_gate: regenerating BENCH_oltp.json, BENCH_health.json," \
-       "BENCH_crashsim.json and BENCH_stm.json in $ROOT" \
+  echo "perf_gate: regenerating BENCH_oltp.json, BENCH_crashsim.json" \
+       "and BENCH_stm.json in $ROOT" \
        "(median of $UPDATE_RUNS runs)..."
   for i in $(seq "$UPDATE_RUNS"); do
     ADTM_BENCH_OUT="$TMP/oltp.$i.json" ADTM_OLTP_CONTAINER=both \
       "$YCSB" > /dev/null || exit 1
     ADTM_BENCH_OUT="$TMP/oltp.$i.json" "$WH" > /dev/null || exit 1
-    (cd "$TMP" && ADTM_BENCH_OUT="$TMP/health.$i.json" "$HEALTH" > /dev/null) \
-      || exit 1
     (cd "$TMP" && ADTM_BENCH_OUT="$TMP/crashsim.$i.json" "$CRASHSIM" \
       > /dev/null) || exit 1
     (cd "$TMP" && ADTM_BENCH_OUT="$TMP/stm.$i.json" "$STM" > /dev/null) \
@@ -164,18 +159,16 @@ if [ "$UPDATE" = 1 ]; then
     echo "perf_gate: run $i/$UPDATE_RUNS done"
   done
   median_report 0 0 "$TMP"/oltp.*.json > "$TMP/oltp.median" || exit 1
-  median_report 0 0 "$TMP"/health.*.json > "$TMP/health.median" || exit 1
   median_report 1 0 "$TMP"/crashsim.*.json > "$TMP/crashsim.median" || exit 1
   median_report 0 1 "$TMP"/stm.*.json > "$TMP/stm.median" || exit 1
-  for name in oltp health crashsim stm; do
+  for name in oltp crashsim stm; do
     mv "$TMP/$name.median" "$ROOT/BENCH_$name.json" || exit 1
   done
   echo "perf_gate: snapshots refreshed"
   exit 0
 fi
 
-for snap in BENCH_oltp.json BENCH_health.json BENCH_crashsim.json \
-  BENCH_stm.json; do
+for snap in BENCH_oltp.json BENCH_crashsim.json BENCH_stm.json; do
   if [ ! -f "$ROOT/$snap" ]; then
     echo "perf_gate: no committed $snap — SKIP"
     exit 77
@@ -185,16 +178,13 @@ done
 # One quick measurement pass into $TMP. Short but same key space as the
 # committed matrix so per-op costs are comparable.
 measure() {
-  rm -f "$TMP/oltp.json" "$TMP/health.json" "$TMP/crashsim.json" \
-    "$TMP/stm.json"
+  rm -f "$TMP/oltp.json" "$TMP/crashsim.json" "$TMP/stm.json"
   ADTM_BENCH_OUT="$TMP/oltp.json" ADTM_OLTP_THREADS="${ADTM_OLTP_THREADS:-2}" \
     ADTM_OLTP_DURATION_MS="${ADTM_OLTP_DURATION_MS:-120}" \
     ADTM_OLTP_CONTAINER=both "$YCSB" > /dev/null || return 1
   ADTM_BENCH_OUT="$TMP/oltp.json" ADTM_OLTP_THREADS="${ADTM_OLTP_THREADS:-2}" \
     ADTM_OLTP_DURATION_MS="${ADTM_OLTP_DURATION_MS:-120}" \
     "$WH" > /dev/null || return 1
-  (cd "$TMP" && ADTM_BENCH_OUT="$TMP/health.json" "$HEALTH" > /dev/null) \
-    || return 1
   (cd "$TMP" && ADTM_BENCH_OUT="$TMP/crashsim.json" "$CRASHSIM" > /dev/null) \
     || return 1
   (cd "$TMP" && ADTM_BENCH_OUT="$TMP/stm.json" "$STM" \
@@ -205,7 +195,7 @@ measure() {
 # compare <committed> <fresh> <kind>
 #   kind=tput : name|label keys ending in /tput, fresh ops/ns must be
 #               >= (1-BAND) x committed
-#   kind=health, stm, crashsim : per-op fresh real_ns must be
+#   kind=stm, crashsim : per-op fresh real_ns must be
 #               <= BAND_TIME x committed; crashsim keys include iterations
 #               (the record count) and only p50 labels are gated (p99 of
 #               15 runs is pure noise)
@@ -254,8 +244,6 @@ run_compare() {
   local rc=0
   echo "perf_gate: throughput (band ${BAND}) vs BENCH_oltp.json"
   compare "$ROOT/BENCH_oltp.json" "$TMP/oltp.json" tput || rc=1
-  echo "perf_gate: per-op time (band x${BAND_TIME}) vs BENCH_health.json"
-  compare "$ROOT/BENCH_health.json" "$TMP/health.json" health || rc=1
   echo "perf_gate: recovery p50 (band x${BAND_TIME}) vs BENCH_crashsim.json"
   compare "$ROOT/BENCH_crashsim.json" "$TMP/crashsim.json" crashsim || rc=1
   echo "perf_gate: per-op time (band x${BAND_TIME}) vs BENCH_stm.json"

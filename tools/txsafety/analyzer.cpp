@@ -134,8 +134,7 @@ bool Analyzer::in_scope(const std::string& check,
 
 bool Analyzer::machinery(const std::string& path) {
   if (under_any(path, {"src/stm/", "src/tmsan/", "src/liveness/", "src/obs/",
-                       "src/health/", "src/common/", "src/faultsim/",
-                       "src/fdpool/"}))
+                       "src/common/", "src/faultsim/", "src/fdpool/"}))
     return true;
   return name_in(path,
                  {"src/adtm.hpp", "src/defer/atomic_defer.hpp",
