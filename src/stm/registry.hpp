@@ -35,6 +35,10 @@ struct SerialGate {
   std::atomic<std::uint32_t> writer{kNoThread};
 
   bool busy() const noexcept {
+    // pairs-with: release_serial_gate()'s release store, so a transaction
+    // admitted after a serial body sees that body's writes; and, in
+    // registry_enter()'s re-check, acquire_serial_gate()'s acq_rel CAS
+    // (the store-buffering handshake described there).
     return writer.load(std::memory_order_acquire) != kNoThread;
   }
 };
@@ -60,6 +64,10 @@ std::uint32_t& locker_depth() noexcept;
 
 inline void locker_enter() noexcept {
   ++locker_depth();
+  // pairs-with: others_hold_locks()'s seq_cst load (registry.cpp). A
+  // serial writer drains this thread's slot before it reads g_lockers, and
+  // this increment is sequenced before the slot clears, so the writer's
+  // lock drain counts the hold.
   g_lockers.fetch_add(1, std::memory_order_seq_cst);
 }
 
@@ -68,6 +76,9 @@ inline void locker_exit() noexcept {
                  "locker_exit without a matching locker_enter "
                  "(cross-transaction lock accounting underflow)");
   --locker_depth();
+  // pairs-with: others_hold_locks()'s seq_cst load. A writer whose lock
+  // drain reads the decremented count also sees the committed release
+  // that preceded it.
   g_lockers.fetch_sub(1, std::memory_order_seq_cst);
 }
 
@@ -76,6 +87,9 @@ inline void locker_exit() noexcept {
 void registry_enter(std::uint64_t start_ts) noexcept;
 
 inline void registry_leave() noexcept {
+  // pairs-with: quiesce_until()'s and acquire_serial_gate()'s acquire
+  // loads of active_since. A writer that sees the slot clear also sees
+  // that this transaction finished every access it made.
   my_slot().active_since.store(0, std::memory_order_release);
 }
 
