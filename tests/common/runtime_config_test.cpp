@@ -25,6 +25,7 @@ class RuntimeConfigTest : public ::testing::Test {
 TEST_F(RuntimeConfigTest, EnvResolutionHasDocumentedDefaults) {
   // The suite runs without ADTM_* set, so from-env equals the defaults.
   const RuntimeConfig cfg = runtime_config_from_env();
+  EXPECT_EQ(cfg.algo, "");
   EXPECT_EQ(cfg.starvation_threshold, 64u);
   EXPECT_EQ(cfg.stall_budget_ms, 2000u);
   EXPECT_EQ(cfg.watchdog_interval_ms, 200u);
@@ -34,6 +35,9 @@ TEST_F(RuntimeConfigTest, EnvResolutionHasDocumentedDefaults) {
   EXPECT_EQ(cfg.trace_ring_capacity, 8192u);
   EXPECT_EQ(cfg.trace_max_events, std::size_t{1} << 18);
   EXPECT_EQ(cfg.trace_out, "adtm_trace.json");
+  EXPECT_FALSE(cfg.tmsan);
+  EXPECT_FALSE(cfg.tmsan_opacity);
+  EXPECT_EQ(cfg.tmsan_stack_sample, 1u);
 }
 
 TEST_F(RuntimeConfigTest, ConfigureReplacesTheProcessSnapshot) {
