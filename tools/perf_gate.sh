@@ -14,8 +14,9 @@
 # outside it (ADTM_OLTP_SPIN_NS, spun inside every transaction attempt,
 # fails every tput row in both passes at the value DESIGN.md gives).
 # Time entries fail when fresh exceeds ADTM_PERF_BAND_TIME x committed
-# (default 4.0 — recovery timings are noisy at micro scale). The quick pass runs micro_stm_ops with a short minimum time;
-# its rows are per-iteration times, comparable with the committed ones.
+# (default 4.0 — recovery timings are noisy at micro scale). The quick
+# pass runs micro_stm_ops with a short minimum time; its rows are
+# per-iteration times, comparable with the committed ones.
 # Only names present in BOTH the committed snapshot and the fresh quick
 # run are compared; the committed file may hold more (full-matrix)
 # entries. When a committed file repeats a key, the last occurrence
